@@ -757,7 +757,7 @@ fn cmd_decompress(args: &Args) -> Result<(), CliError> {
             " (region {}:{},{}:{},{}:{} — {} chunk(s) via {})",
             lo[0], hi[0], lo[1], hi[1], lo[2], hi[2],
             report.chunk_ids.len(),
-            if report.used_index { "index seek" } else { "chunk-table scan" },
+            if report.used_index { "index seek" } else { "chunk table" },
         );
         (field, None)
     } else if let Some(bpp) = preview_bpp {
@@ -855,7 +855,7 @@ fn cmd_info(args: &Args) -> Result<(), CliError> {
         None => {
             println!(
                 "index:       none (container v{} predates the chunk index; \
-                 random access falls back to a chunk-table scan)",
+                 random access reads payload offsets from the chunk table)",
                 info.version
             );
         }

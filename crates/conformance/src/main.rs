@@ -152,8 +152,8 @@ fn run_oracles() -> Vec<CheckFailure> {
 /// The region oracle over the whole corpus: each field compressed once
 /// (PWE at the corpus-standard tolerance, indexed v3 container), then
 /// `decode_region` over `n` randomized bboxes at 1/2/4/8 threads must
-/// match the full decode bit-for-bit — and again through the legacy
-/// chunk-table scan after a `downgrade_to_v2`.
+/// match the full decode bit-for-bit — and again on the index-free
+/// `downgrade_to_v2` of the same stream.
 fn run_regions(n: usize) -> Vec<CheckFailure> {
     let chunk_dims = [16usize, 16, 16];
     let sperr =

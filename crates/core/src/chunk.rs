@@ -3,6 +3,8 @@
 //! need not divide the volume dimensions — boundary chunks are simply
 //! smaller.
 
+use sperr_simd::Float;
+
 /// One chunk: offset and extent within the full volume.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChunkSpec {
@@ -79,21 +81,28 @@ pub fn extract_chunk_into<T: Copy>(
     }
 }
 
-/// Writes a dense chunk buffer back into the row-major volume.
-pub fn insert_chunk<T: Copy>(
-    volume: &mut [T],
-    volume_dims: [usize; 3],
-    spec: &ChunkSpec,
+/// Copies the half-open box `[lo, hi)` of a dense chunk buffer (dims
+/// `chunk_dims`) into a row-major volume (dims `volume_dims`) at `dst_lo`,
+/// converting each sample to the volume's width — a no-op for equal
+/// widths and exact when widening, so decoders assemble straight into
+/// their output width.
+pub(crate) fn place_box<T: Float, O: Float>(
     chunk: &[T],
+    chunk_dims: [usize; 3],
+    [lo, hi]: [[usize; 3]; 2],
+    volume: &mut [O],
+    volume_dims: [usize; 3],
+    dst_lo: [usize; 3],
 ) {
-    debug_assert_eq!(chunk.len(), spec.len());
-    for z in 0..spec.dims[2] {
-        for y in 0..spec.dims[1] {
-            let row_start = spec.offset[0]
-                + volume_dims[0] * ((spec.offset[1] + y) + volume_dims[1] * (spec.offset[2] + z));
-            let src = spec.dims[0] * (y + spec.dims[1] * z);
-            volume[row_start..row_start + spec.dims[0]]
-                .copy_from_slice(&chunk[src..src + spec.dims[0]]);
+    let len = hi[0] - lo[0];
+    for z in 0..hi[2] - lo[2] {
+        for y in 0..hi[1] - lo[1] {
+            let src = lo[0] + chunk_dims[0] * ((lo[1] + y) + chunk_dims[1] * (lo[2] + z));
+            let dst = dst_lo[0]
+                + volume_dims[0] * ((dst_lo[1] + y) + volume_dims[1] * (dst_lo[2] + z));
+            for (d, &s) in volume[dst..dst + len].iter_mut().zip(&chunk[src..src + len]) {
+                *d = O::from_f64(s.to_f64());
+            }
         }
     }
 }
@@ -135,7 +144,7 @@ mod tests {
         let mut rebuilt = vec![0.0; 140];
         for spec in chunk_grid(dims, [3, 2, 3]) {
             let chunk = extract_chunk(&volume, dims, &spec);
-            insert_chunk(&mut rebuilt, dims, &spec, &chunk);
+            place_box(&chunk, spec.dims, [[0; 3], spec.dims], &mut rebuilt, dims, spec.offset);
         }
         assert_eq!(volume, rebuilt);
     }

@@ -1,15 +1,15 @@
 //! The top-level SPERR compressor: chunking, the embarrassingly parallel
 //! driver (§III-D), container assembly and the lossless post-pass (§V).
+//! The public read surfaces are thin wrappers over the decode engine
+//! (`engine.rs`).
 
-use crate::chunk::{chunk_grid, extract_chunk_into, insert_chunk, ChunkSpec};
+use crate::chunk::{chunk_grid, extract_chunk_into, ChunkSpec};
 use crate::container::{
-    read_container, write_container, ChunkEntry, ChunkIndexEntry, Header, Mode, VERSION,
-    VERSION_V2,
+    write_container, ChunkIndexEntry, Header, Mode, VERSION, VERSION_V1, VERSION_V2,
 };
-use crate::crc32::crc32;
+use crate::engine::{frame_outer, reframe, Chunks, DecodePlan, Fidelity, OnDamage, ParsedStream};
 use crate::pipeline::{
-    compress_chunk_bpp_with, compress_chunk_pwe_with, compress_chunk_rmse_with, decompress_chunk,
-    decompress_chunk_multires, decompress_chunk_region_with, decompress_chunk_with, ChunkEncoding,
+    compress_chunk_bpp_with, compress_chunk_pwe_with, compress_chunk_rmse_with, ChunkEncoding,
     ScratchArena,
 };
 use crate::pool::{PerWorker, WorkerPool};
@@ -18,11 +18,6 @@ use sperr_compress_api::{Bound, CompressError, Field, FieldOf, LossyCompressor, 
 use sperr_simd::Float;
 use sperr_telemetry::timed;
 use sperr_wavelet::{Kernel, PANEL_W};
-
-/// Outer stream framing: one flag byte telling whether the container is
-/// wrapped by the lossless codec.
-pub(crate) const OUTER_RAW: u8 = 0;
-pub(crate) const OUTER_LOSSLESS: u8 = 1;
 
 /// Amortized per-chunk container overhead charged against the bit budget
 /// in size-bounded mode (chunk-table entry + share of the header).
@@ -189,29 +184,7 @@ impl Sperr {
         } else {
             metric_labels::OP_COMPRESS_F64
         });
-        let chunks_spec = chunk_grid(field.dims, self.config.chunk_dims);
-        let (mode, bound_value) = match bound {
-            Bound::Pwe(t) => {
-                if !(t > 0.0) || !t.is_finite() {
-                    return Err(CompressError::Invalid(format!("invalid tolerance {t}")));
-                }
-                (Mode::Pwe, t)
-            }
-            Bound::Bpp(r) => {
-                if !(r > 0.0) || !r.is_finite() {
-                    return Err(CompressError::Invalid(format!("invalid bitrate {r}")));
-                }
-                (Mode::Bpp, r)
-            }
-            Bound::Psnr(p) => {
-                // §VII extension: average-error-targeted compression via
-                // the near-orthogonality of the transform.
-                if !(p > 0.0) || !p.is_finite() {
-                    return Err(CompressError::Invalid(format!("invalid PSNR target {p}")));
-                }
-                (Mode::Rmse, p)
-            }
-        };
+        let (mode, bound_value) = parse_bound(bound)?;
         // PSNR targets translate to an RMSE target over the whole field's
         // range; a zero-range (constant) field quantizes relative to its
         // magnitude.
@@ -226,64 +199,96 @@ impl Sperr {
         } else {
             0.0
         };
+        let target = ChunkTarget { mode, bound_value, rmse_target };
 
-        // Per-chunk bit budget for size mode: the raw target minus the
-        // amortized chunk-table overhead, so the final container lands at
-        // or under the requested rate.
-        let per_chunk_header_bits = PER_CHUNK_HEADER_BITS;
-        let cfg = &self.config;
-        let q_factor = cfg.q_factor;
-        let kernel = cfg.kernel;
-        let volume_dims = field.dims;
-        let data = &field.data;
+        let chunks_spec = chunk_grid(field.dims, self.config.chunk_dims);
+        let encoded = self.map_chunks(&chunks_spec, |i, pool, arena, input| {
+            extract_chunk_into(&field.data, field.dims, &chunks_spec[i], input);
+            self.encode_chunk(input, &chunks_spec[i], target, pool, arena)
+        });
+        let precision = if native_f32 { Precision::Single } else { field.precision };
+        Ok(self.finish_encode(target, field.dims, precision, native_f32, &encoded))
+    }
 
-        let n_chunks = chunks_spec.len();
-        let threads = self.effective_threads(&chunks_spec);
-        let encoded: Vec<ChunkEncoding> = WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
-            let inputs = PerWorker::new(pool.threads(), Vec::new);
-            let encode_one = |i: usize, w: usize| {
+    /// Runs `job(i, pool, arena, input)` for every chunk in `specs` on a
+    /// pool sized for them, with one scratch arena and one input buffer
+    /// per worker, and returns the results in chunk order. Enough chunks
+    /// to saturate the pool parallelize the outer loop (each chunk's inner
+    /// stages then run inline); fewer run the outer loop serially so each
+    /// chunk's wavelet panels and elementwise sweeps fan out instead.
+    pub(crate) fn map_chunks<T: Float, R: Send>(
+        &self,
+        specs: &[ChunkSpec],
+        job: impl Fn(usize, &WorkerPool, &mut ScratchArena<T>, &mut Vec<T>) -> R + Sync,
+    ) -> Vec<R> {
+        WorkerPool::scoped(self.effective_threads(specs), |pool| {
+            let scratch = PerWorker::new(pool.threads(), || (ScratchArena::new(), Vec::new()));
+            let run = |i: usize, w: usize| {
                 // SAFETY: concurrent jobs see distinct worker slots (pool
                 // contract), so each arena/input buffer has one user.
-                let (arena, input) = unsafe { (arenas.get(w), inputs.get(w)) };
-                let spec = &chunks_spec[i];
-                extract_chunk_into(data, volume_dims, spec, input);
-                match mode {
-                    Mode::Pwe => compress_chunk_pwe_with(
-                        input, spec.dims, bound_value, q_factor, kernel, pool, arena,
-                    ),
-                    Mode::Bpp => {
-                        let budget = ((bound_value * spec.len() as f64) as usize)
-                            .saturating_sub(per_chunk_header_bits);
-                        compress_chunk_bpp_with(input, spec.dims, budget, kernel, pool, arena)
-                    }
-                    Mode::Rmse => {
-                        compress_chunk_rmse_with(input, spec.dims, rmse_target, kernel, pool, arena)
-                    }
-                }
+                let (arena, input) = unsafe { scratch.get(w) };
+                job(i, pool, arena, input)
             };
-            let encoded = if n_chunks >= pool.threads() {
-                // Enough chunks to saturate the pool: parallelize the outer
-                // loop; each chunk's inner stages then run inline.
-                pool.map(n_chunks, |i, w| encode_one(i, w))
+            let out = if specs.len() >= pool.threads() {
+                pool.map(specs.len(), run)
             } else {
-                // Few chunks: serial outer loop so each chunk's wavelet
-                // panels and elementwise sweeps fan out across the pool.
-                (0..n_chunks).map(|i| encode_one(i, 0)).collect()
+                (0..specs.len()).map(|i| run(i, 0)).collect()
             };
             for w in 0..pool.threads() {
                 // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint();
+                unsafe { scratch.get(w) }.0.record_footprint();
             }
-            encoded
-        });
+            out
+        })
+    }
 
+    /// Compresses one chunk toward `target` — the per-chunk step both
+    /// compress drivers (in-memory and streaming) share.
+    pub(crate) fn encode_chunk<T: Float>(
+        &self,
+        data: &[T],
+        spec: &ChunkSpec,
+        target: ChunkTarget,
+        pool: &WorkerPool,
+        arena: &mut ScratchArena<T>,
+    ) -> ChunkEncoding {
+        let ChunkTarget { mode, bound_value, rmse_target } = target;
+        let SperrConfig { q_factor, kernel, .. } = self.config;
+        match mode {
+            Mode::Pwe => {
+                compress_chunk_pwe_with(data, spec.dims, bound_value, q_factor, kernel, pool, arena)
+            }
+            Mode::Bpp => {
+                // The raw target minus the amortized chunk-table overhead,
+                // so the final container lands at or under the rate.
+                let budget = ((bound_value * spec.len() as f64) as usize)
+                    .saturating_sub(PER_CHUNK_HEADER_BITS);
+                compress_chunk_bpp_with(data, spec.dims, budget, kernel, pool, arena)
+            }
+            Mode::Rmse => {
+                compress_chunk_rmse_with(data, spec.dims, rmse_target, kernel, pool, arena)
+            }
+        }
+    }
+
+    /// The encode tail both compress drivers share: folds the per-chunk
+    /// stats, writes the container and the outer framing, and records the
+    /// size histograms.
+    pub(crate) fn finish_encode(
+        &self,
+        target: ChunkTarget,
+        dims: [usize; 3],
+        precision: Precision,
+        native_f32: bool,
+        encoded: &[ChunkEncoding],
+    ) -> (Vec<u8>, CompressionStats) {
+        let cfg = &self.config;
         let mut stats = CompressionStats {
-            num_points: field.len(),
-            num_chunks: n_chunks,
+            num_points: dims.iter().product(),
+            num_chunks: encoded.len(),
             ..CompressionStats::default()
         };
-        for enc in &encoded {
+        for enc in encoded {
             sperr_telemetry::record_bytes(
                 metric_labels::SIZE_CHUNK_SPECK,
                 enc.speck_stream.len() as u64,
@@ -294,76 +299,48 @@ impl Sperr {
             stats.stage_times.accumulate(&enc.times);
             stats.coeff_sq_error += enc.coeff_sq_error;
         }
-
         let header = Header {
-            mode,
-            kernel,
-            precision: if native_f32 { Precision::Single } else { field.precision },
+            mode: target.mode,
+            kernel: cfg.kernel,
+            precision,
             native_f32,
-            dims: field.dims,
+            dims,
             chunk_dims: cfg.chunk_dims,
-            bound_value,
-            n_chunks,
+            bound_value: target.bound_value,
+            n_chunks: encoded.len(),
         };
         let (container, container_time) = timed(stage_labels::CONTAINER_WRITE, || {
-            write_container(&header, &encoded, cfg.container_version)
+            write_container(&header, encoded, cfg.container_version)
         });
         stats.container_bytes = container.len();
         stats.stage_times.container = container_time;
-
-        let mut out = Vec::with_capacity(container.len() + 1);
-        if cfg.lossless {
-            let (packed, lossless_time) =
-                timed(stage_labels::LOSSLESS_COMPRESS, || sperr_lossless::compress(&container));
-            out.push(OUTER_LOSSLESS);
-            out.extend_from_slice(&packed);
-            stats.stage_times.lossless = lossless_time;
-        } else {
-            out.push(OUTER_RAW);
-            out.extend_from_slice(&container);
-        }
+        let (out, lossless_time) = frame_outer(&container, cfg.lossless);
+        stats.stage_times.lossless = lossless_time;
         stats.output_bytes = out.len();
         sperr_telemetry::record_bytes(metric_labels::SIZE_OUTPUT, out.len() as u64);
-        Ok((out, stats))
-    }
-
-    /// Strips the outer framing, undoing the lossless pass when present.
-    /// Returns the raw container and whether the lossless pass was on.
-    pub(crate) fn unwrap_outer(stream: &[u8]) -> Result<(Vec<u8>, bool), CompressError> {
-        let (&flag, rest) = stream
-            .split_first()
-            .ok_or_else(|| CompressError::Corrupt("empty stream".into()))?;
-        match flag {
-            OUTER_RAW => Ok((rest.to_vec(), false)),
-            OUTER_LOSSLESS => Ok((sperr_lossless::decompress(rest)?, true)),
-            f => Err(CompressError::Corrupt(format!("unknown outer flag {f}"))),
-        }
+        (out, stats)
     }
 
     /// Inspects a SPERR stream without decoding it: dimensions, mode,
     /// chunking and per-chunk stream sizes.
     pub fn inspect(&self, stream: &[u8]) -> Result<StreamInfo, CompressError> {
-        let (container, lossless) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
+        let ps = ParsedStream::parse(stream)?;
+        let h = &ps.header;
         Ok(StreamInfo {
-            dims: parsed.header.dims,
-            chunk_dims: parsed.header.chunk_dims,
-            mode: parsed.header.mode,
-            bound_value: parsed.header.bound_value,
-            n_chunks: parsed.header.n_chunks,
-            precision: parsed.header.precision,
-            native_f32: parsed.header.native_f32,
-            lossless,
-            speck_bytes: parsed.entries.iter().map(|e| e.speck_len).sum(),
-            outlier_bytes: parsed.entries.iter().map(|e| e.outlier_len).sum(),
-            version: parsed.version,
-            payload_offset: parsed.payload_start,
-            chunk_payload_sizes: parsed
-                .entries
-                .iter()
-                .map(|e| e.speck_len + e.outlier_len)
-                .collect(),
-            chunk_index: parsed.index,
+            dims: h.dims,
+            chunk_dims: h.chunk_dims,
+            mode: h.mode,
+            bound_value: h.bound_value,
+            n_chunks: h.n_chunks,
+            precision: h.precision,
+            native_f32: h.native_f32,
+            lossless: ps.lossless,
+            speck_bytes: ps.entries.iter().map(|e| e.speck_len).sum(),
+            outlier_bytes: ps.entries.iter().map(|e| e.outlier_len).sum(),
+            version: ps.version,
+            payload_offset: ps.payload_start,
+            chunk_payload_sizes: ps.entries.iter().map(|e| e.speck_len + e.outlier_len).collect(),
+            chunk_index: ps.index.clone(),
         })
     }
 
@@ -373,23 +350,12 @@ impl Sperr {
     /// v1 streams carry no checksums — the report says so via
     /// [`VerifyReport::checksummed`] and trivially lists no corruption.
     pub fn verify(&self, stream: &[u8]) -> Result<VerifyReport, CompressError> {
-        let (container, _) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        let mut corrupt_chunks = Vec::new();
-        if let Some(crcs) = &parsed.chunk_crcs {
-            let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-            for (i, (e, &start)) in parsed.entries.iter().zip(&offsets).enumerate() {
-                let payload = &container[start..start + e.speck_len + e.outlier_len];
-                if crc32(payload) != crcs[i] {
-                    corrupt_chunks.push(i);
-                }
-            }
-        }
+        let ps = ParsedStream::parse(stream)?;
         Ok(VerifyReport {
-            version: parsed.version,
-            checksummed: parsed.chunk_crcs.is_some(),
-            n_chunks: parsed.header.n_chunks,
-            corrupt_chunks,
+            version: ps.version,
+            checksummed: ps.crcs.is_some(),
+            n_chunks: ps.header.n_chunks,
+            corrupt_chunks: (0..ps.entries.len()).filter(|&i| !ps.crc_ok(i)).collect(),
         })
     }
 
@@ -405,67 +371,10 @@ impl Sperr {
         &self,
         stream: &[u8],
     ) -> Result<(Field, ResilientReport), CompressError> {
-        let (container, _) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        let chunks_spec = chunk_grid(parsed.header.dims, parsed.header.chunk_dims);
-        if chunks_spec.len() != parsed.entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        let tolerance = match parsed.header.mode {
-            Mode::Pwe => parsed.header.bound_value,
-            Mode::Bpp | Mode::Rmse => 0.0,
-        };
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let mut volume = vec![0.0f64; parsed.header.dims.iter().product()];
-        let mut statuses = Vec::with_capacity(parsed.entries.len());
-        for (i, (spec, e)) in chunks_spec.iter().zip(&parsed.entries).enumerate() {
-            let start = offsets[i];
-            let payload = &container[start..start + e.speck_len + e.outlier_len];
-            if let Some(crcs) = &parsed.chunk_crcs {
-                if crc32(payload) != crcs[i] {
-                    // Known-bad payload: don't even hand it to the coders.
-                    statuses.push(ChunkStatus::ChecksumMismatch);
-                    continue;
-                }
-            }
-            let (speck, outlier) = payload.split_at(e.speck_len);
-            // f32-native payloads decode at native width and widen exactly,
-            // matching the strict decoder's output for healthy chunks.
-            let result = if parsed.header.native_f32 {
-                decompress_chunk::<f32>(
-                    speck,
-                    outlier,
-                    spec.dims,
-                    e.q,
-                    e.num_planes,
-                    e.max_n,
-                    tolerance,
-                    parsed.header.kernel,
-                )
-                .map(|c| c.iter().map(|&v| v as f64).collect())
-            } else {
-                decompress_chunk::<f64>(
-                    speck,
-                    outlier,
-                    spec.dims,
-                    e.q,
-                    e.num_planes,
-                    e.max_n,
-                    tolerance,
-                    parsed.header.kernel,
-                )
-            };
-            match result {
-                Ok(chunk) => {
-                    insert_chunk(&mut volume, parsed.header.dims, spec, &chunk);
-                    statuses.push(ChunkStatus::Ok);
-                }
-                Err(e) => statuses.push(ChunkStatus::DecodeFailed(e)),
-            }
-        }
-        let field =
-            Field::new(parsed.header.dims, volume).with_precision(parsed.header.precision);
-        Ok((field, ResilientReport { statuses }))
+        let ps = ParsedStream::parse(stream)?;
+        let plan = DecodePlan { on_damage: OnDamage::Contain, ..DecodePlan::FULL };
+        let d = self.decode_plan(&ps, &plan)?;
+        Ok((d.field, ResilientReport { statuses: d.statuses }))
     }
 
     /// Multi-resolution decompression (§VII): reconstructs the field at
@@ -482,43 +391,9 @@ impl Sperr {
         if level == 0 {
             return self.decompress(stream);
         }
-        let (container, _) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let Header { dims, chunk_dims, kernel, precision, .. } = parsed.header;
-        let entries = parsed.entries;
-        let payload_start = parsed.payload_start;
-        let chunks_spec = chunk_grid(dims, chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        let step = 1usize << level;
-        // Offsets are multiples of chunk_dims; they must stay aligned
-        // after coarsening (single-chunk streams are always fine).
-        if chunks_spec.len() > 1 && chunk_dims.iter().any(|&d| d % step != 0) {
-            return Err(CompressError::Invalid(format!(
-                "chunk dims {chunk_dims:?} not divisible by 2^{level}"
-            )));
-        }
-        // Coarse volume geometry: iterated ceil-halving == ceil(n / 2^l).
-        let cdims =
-            [dims[0].div_ceil(step), dims[1].div_ceil(step), dims[2].div_ceil(step)];
-        let mut volume = vec![0.0f64; cdims.iter().product()];
-        let mut cursor = payload_start;
-        for (spec, e) in chunks_spec.iter().zip(&entries) {
-            let speck = &container[cursor..cursor + e.speck_len];
-            cursor += e.speck_len + e.outlier_len;
-            let (chunk, chunk_cdims) =
-                decompress_chunk_multires(speck, spec.dims, e.q, e.num_planes, level, kernel)?;
-            let coffset = [spec.offset[0] / step, spec.offset[1] / step, spec.offset[2] / step];
-            insert_chunk(
-                &mut volume,
-                cdims,
-                &crate::chunk::ChunkSpec { offset: coffset, dims: chunk_cdims },
-                &chunk,
-            );
-        }
-        Ok(Field::new(cdims, volume).with_precision(precision))
+        let ps = ParsedStream::parse(stream)?;
+        let plan = DecodePlan { fidelity: Fidelity::Level(level), ..DecodePlan::FULL };
+        Ok(self.decode_plan(&ps, &plan)?.field)
     }
 
     /// Region-of-interest decompression: reconstructs only the sub-box
@@ -535,26 +410,17 @@ impl Sperr {
         hi: [usize; 3],
     ) -> Result<Field, CompressError> {
         let (field, report) = self.decode_region(stream, lo, hi)?;
-        for (&id, status) in report.chunk_ids.iter().zip(&report.statuses) {
-            match status {
-                ChunkStatus::Ok => {}
-                ChunkStatus::ChecksumMismatch => {
-                    return Err(CompressError::Corrupt(format!(
-                        "chunk {id} payload checksum mismatch"
-                    )))
-                }
-                ChunkStatus::DecodeFailed(e) => return Err(e.clone()),
-            }
+        for (&id, status) in report.chunk_ids.iter().zip(report.statuses) {
+            status.into_result(id)?;
         }
         Ok(field)
     }
 
     /// Random-access decode of the sub-box `[lo, hi)`: maps the bbox to
-    /// the intersecting chunks through the chunk grid, seeks straight to
-    /// their payloads via the container-v3 chunk index (v1/v2 streams
-    /// fall back to a chunk-table scan — see [`RegionReport::used_index`]),
-    /// decodes only those chunks in parallel on the worker pool, and
-    /// assembles the sub-volume. Damage is contained per chunk, like
+    /// the intersecting chunks through the chunk grid, slices their
+    /// payloads straight out of the container, decodes only those chunks
+    /// in parallel on the worker pool, and assembles the sub-volume.
+    /// Damage is contained per chunk, like
     /// [`Sperr::decompress_resilient`]: a chunk failing its CRC or decode
     /// leaves its intersection zero-filled and is reported in the
     /// [`RegionReport`] instead of failing the call. Only the checksums
@@ -572,187 +438,18 @@ impl Sperr {
     ) -> Result<(Field, RegionReport), CompressError> {
         let _run = sperr_telemetry::span!("sperr.decode_region", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_REGION);
-        let (container, _) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        let header = parsed.header;
-        let entries = parsed.entries;
-        for d in 0..3 {
-            if lo[d] >= hi[d] || hi[d] > header.dims[d] {
-                return Err(CompressError::Invalid(format!(
-                    "region [{lo:?}, {hi:?}) out of bounds for dims {:?}",
-                    header.dims
-                )));
-            }
-        }
-        let chunks_spec = chunk_grid(header.dims, header.chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        // Seek table. The v3 index gives each payload's offset directly;
-        // legacy v1/v2 streams force a full walk of the chunk table (the
-        // documented fallback — cheap relative to decode, but a scan all
-        // the same, hence the one-time nudge to re-encode).
-        let used_index = parsed.index.is_some();
-        let offsets: Vec<usize> = match &parsed.index {
-            Some(index) => {
-                index.iter().map(|e| parsed.payload_start + e.offset as usize).collect()
-            }
-            None => {
-                warn_legacy_region_scan(parsed.version);
-                chunk_offsets(&entries, parsed.payload_start)
-            }
+        let ps = ParsedStream::parse(stream)?;
+        let used_index = ps.index.is_some();
+        let plan = DecodePlan {
+            chunks: Chunks::BBox(lo, hi),
+            fidelity: Fidelity::Full,
+            on_damage: OnDamage::Contain,
         };
-        let tolerance = match header.mode {
-            Mode::Pwe => header.bound_value,
-            Mode::Bpp | Mode::Rmse => 0.0,
-        };
-
-        // Clip the bbox against the grid: one decode job per intersecting
-        // chunk, carrying the chunk-local box to keep.
-        struct Target {
-            chunk: usize,
-            isect_lo: [usize; 3],
-            isect_hi: [usize; 3],
-        }
-        let mut targets = Vec::new();
-        let mut target_specs = Vec::new();
-        for (i, spec) in chunks_spec.iter().enumerate() {
-            let c_lo = spec.offset;
-            let c_hi = [
-                spec.offset[0] + spec.dims[0],
-                spec.offset[1] + spec.dims[1],
-                spec.offset[2] + spec.dims[2],
-            ];
-            let isect_lo = [lo[0].max(c_lo[0]), lo[1].max(c_lo[1]), lo[2].max(c_lo[2])];
-            let isect_hi = [hi[0].min(c_hi[0]), hi[1].min(c_hi[1]), hi[2].min(c_hi[2])];
-            if (0..3).any(|d| isect_lo[d] >= isect_hi[d]) {
-                continue; // chunk does not touch the region
-            }
-            targets.push(Target { chunk: i, isect_lo, isect_hi });
-            target_specs.push(*spec);
-        }
-
-        let n_targets = targets.len();
-        sperr_telemetry::counter!("region.chunks_touched", n_targets);
+        let d = self.decode_plan(&ps, &plan)?;
+        sperr_telemetry::counter!("region.chunks_touched", d.chunk_ids.len());
         sperr_telemetry::counter!("region.used_index", used_index as u64);
-        let threads = self.effective_threads(&target_specs);
-        let container_ref = &container;
-        let entries_ref = &entries;
-        let offsets_ref = &offsets;
-        let specs_ref = &chunks_spec;
-        let targets_ref = &targets;
-        let crcs_ref = &parsed.chunk_crcs;
-        let kernel = header.kernel;
-        let native_f32 = header.native_f32;
-        let decoded: Vec<(Vec<f64>, ChunkStatus)> = WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
-            let decode_one = |j: usize, w: usize| {
-                let t = &targets_ref[j];
-                let spec = &specs_ref[t.chunk];
-                let e = &entries_ref[t.chunk];
-                let start = offsets_ref[t.chunk];
-                let payload = &container_ref[start..start + e.speck_len + e.outlier_len];
-                if let Some(crcs) = crcs_ref {
-                    if crc32(payload) != crcs[t.chunk] {
-                        return (vec![0.0; spec.len()], ChunkStatus::ChecksumMismatch);
-                    }
-                }
-                let (speck, outlier) = payload.split_at(e.speck_len);
-                // Chunk-local keep box: only corrections landing inside
-                // the intersection matter for the assembled output.
-                let keep_lo = [
-                    t.isect_lo[0] - spec.offset[0],
-                    t.isect_lo[1] - spec.offset[1],
-                    t.isect_lo[2] - spec.offset[2],
-                ];
-                let keep_hi = [
-                    t.isect_hi[0] - spec.offset[0],
-                    t.isect_hi[1] - spec.offset[1],
-                    t.isect_hi[2] - spec.offset[2],
-                ];
-                // f32-native payloads decode at native width (with a local
-                // arena — region queries are chunk-sparse, so scratch reuse
-                // matters less than on the full-decode path) and widen
-                // exactly, keeping the bit-identity contract with the
-                // full-decompress slice.
-                let decoded = if native_f32 {
-                    let mut arena32 = ScratchArena::<f32>::new();
-                    let r = decompress_chunk_region_with(
-                        speck,
-                        outlier,
-                        spec.dims,
-                        e.q,
-                        e.num_planes,
-                        e.max_n,
-                        tolerance,
-                        kernel,
-                        keep_lo,
-                        keep_hi,
-                        pool,
-                        &mut arena32,
-                    );
-                    arena32.record_footprint();
-                    r.map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
-                } else {
-                    // SAFETY: concurrent jobs see distinct worker slots.
-                    let arena = unsafe { arenas.get(w) };
-                    decompress_chunk_region_with(
-                        speck,
-                        outlier,
-                        spec.dims,
-                        e.q,
-                        e.num_planes,
-                        e.max_n,
-                        tolerance,
-                        kernel,
-                        keep_lo,
-                        keep_hi,
-                        pool,
-                        arena,
-                    )
-                };
-                match decoded {
-                    Ok((chunk, _)) => (chunk, ChunkStatus::Ok),
-                    Err(err) => (vec![0.0; spec.len()], ChunkStatus::DecodeFailed(err)),
-                }
-            };
-            let decoded = if n_targets >= pool.threads() {
-                pool.map(n_targets, |j, w| decode_one(j, w))
-            } else {
-                (0..n_targets).map(|j| decode_one(j, 0)).collect()
-            };
-            for w in 0..pool.threads() {
-                // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint();
-            }
-            decoded
-        });
-
-        let region_dims = [hi[0] - lo[0], hi[1] - lo[1], hi[2] - lo[2]];
-        let mut out = vec![0.0f64; region_dims.iter().product()];
-        let mut chunk_ids = Vec::with_capacity(n_targets);
-        let mut statuses = Vec::with_capacity(n_targets);
-        for (t, (chunk, status)) in targets.iter().zip(decoded) {
-            let spec = &chunks_spec[t.chunk];
-            if matches!(status, ChunkStatus::Ok) {
-                for z in t.isect_lo[2]..t.isect_hi[2] {
-                    for y in t.isect_lo[1]..t.isect_hi[1] {
-                        let src_row = (t.isect_lo[0] - spec.offset[0])
-                            + spec.dims[0]
-                                * ((y - spec.offset[1]) + spec.dims[1] * (z - spec.offset[2]));
-                        let dst_row = (t.isect_lo[0] - lo[0])
-                            + region_dims[0] * ((y - lo[1]) + region_dims[1] * (z - lo[2]));
-                        let len = t.isect_hi[0] - t.isect_lo[0];
-                        out[dst_row..dst_row + len]
-                            .copy_from_slice(&chunk[src_row..src_row + len]);
-                    }
-                }
-            }
-            chunk_ids.push(t.chunk);
-            statuses.push(status);
-        }
-        let field = Field::new(region_dims, out).with_precision(header.precision);
-        Ok((field, RegionReport { chunk_ids, statuses, used_index }))
+        let report = RegionReport { chunk_ids: d.chunk_ids, statuses: d.statuses, used_index };
+        Ok((d.field, report))
     }
 
     /// Progressive (preview) decode: reconstructs the full volume with
@@ -770,97 +467,7 @@ impl Sperr {
     ) -> Result<Field, CompressError> {
         let _run = sperr_telemetry::span!("sperr.decode_at_budgets", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_PREVIEW);
-        let (container, _) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let header = parsed.header;
-        let entries = parsed.entries;
-        if budgets.len() != entries.len() {
-            return Err(CompressError::Invalid(format!(
-                "{} budgets for {} chunks",
-                budgets.len(),
-                entries.len()
-            )));
-        }
-        let chunks_spec = chunk_grid(header.dims, header.chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        let offsets = chunk_offsets(&entries, parsed.payload_start);
-        let kept_bytes: usize =
-            entries.iter().zip(budgets).map(|(e, &b)| e.speck_len.min(b)).sum();
-        sperr_telemetry::counter!("preview.kept_speck_bytes", kept_bytes);
-        let n_chunks = entries.len();
-        let threads = self.effective_threads(&chunks_spec);
-        let container_ref = &container;
-        let entries_ref = &entries;
-        let offsets_ref = &offsets;
-        let specs_ref = &chunks_spec;
-        let kernel = header.kernel;
-        let native_f32 = header.native_f32;
-        type Decoded = Result<(Vec<f64>, StageTimes), CompressError>;
-        let decoded: Vec<Decoded> = WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
-            let decode_one = |i: usize, w: usize| {
-                let e = &entries_ref[i];
-                let start = offsets_ref[i];
-                let keep = e.speck_len.min(budgets[i]);
-                let speck = &container_ref[start..start + keep];
-                // Empty outlier stream + zero tolerance: corrections do
-                // not apply to a truncated reconstruction.
-                if native_f32 {
-                    // f32-native payloads preview at native width and widen
-                    // exactly, so decode_at_bpp stays bit-identical to
-                    // transcode-then-decompress for tag-2 streams too.
-                    let mut arena32 = ScratchArena::<f32>::new();
-                    let r = decompress_chunk_with(
-                        speck,
-                        &[],
-                        specs_ref[i].dims,
-                        e.q,
-                        e.num_planes,
-                        0,
-                        0.0,
-                        kernel,
-                        pool,
-                        &mut arena32,
-                    );
-                    arena32.record_footprint();
-                    r.map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
-                } else {
-                    // SAFETY: concurrent jobs see distinct worker slots.
-                    let arena = unsafe { arenas.get(w) };
-                    decompress_chunk_with(
-                        speck,
-                        &[],
-                        specs_ref[i].dims,
-                        e.q,
-                        e.num_planes,
-                        0,
-                        0.0,
-                        kernel,
-                        pool,
-                        arena,
-                    )
-                }
-            };
-            let decoded = if n_chunks >= pool.threads() {
-                pool.map(n_chunks, |i, w| decode_one(i, w))
-            } else {
-                (0..n_chunks).map(|i| decode_one(i, 0)).collect()
-            };
-            for w in 0..pool.threads() {
-                // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint();
-            }
-            decoded
-        });
-        let mut volume = vec![0.0f64; header.dims.iter().product()];
-        for (spec, result) in chunks_spec.iter().zip(decoded) {
-            let (chunk, _) = result?;
-            insert_chunk(&mut volume, header.dims, spec, &chunk);
-        }
-        Ok(Field::new(header.dims, volume).with_precision(header.precision))
+        self.preview(&ParsedStream::parse(stream)?, budgets)
     }
 
     /// Progressive (preview) decode at a uniform rate: truncates each
@@ -871,15 +478,19 @@ impl Sperr {
     /// materializing the transcoded stream). See
     /// [`Sperr::decode_at_budgets`].
     pub fn decode_at_bpp(&self, stream: &[u8], bpp: f64) -> Result<Field, CompressError> {
-        if !(bpp > 0.0) || !bpp.is_finite() {
-            return Err(CompressError::Invalid(format!("invalid bitrate {bpp}")));
-        }
-        let info = self.inspect(stream)?;
-        let budgets: Vec<usize> = chunk_grid(info.dims, info.chunk_dims)
-            .iter()
-            .map(|spec| ((bpp * spec.len() as f64) as usize / 8).saturating_sub(26))
-            .collect();
-        self.decode_at_budgets(stream, &budgets)
+        check_bpp(bpp)?;
+        let _run = sperr_telemetry::span!("sperr.decode_at_budgets", stream.len());
+        let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECODE_PREVIEW);
+        let ps = ParsedStream::parse(stream)?;
+        self.preview(&ps, &bpp_budgets(&ps.grid, bpp))
+    }
+
+    fn preview(&self, ps: &ParsedStream, budgets: &[usize]) -> Result<Field, CompressError> {
+        let plan = DecodePlan { fidelity: Fidelity::Budgets(budgets), ..DecodePlan::FULL };
+        let field = self.decode_plan(ps, &plan)?.field;
+        let kept: usize = ps.entries.iter().zip(budgets).map(|(e, &b)| e.speck_len.min(b)).sum();
+        sperr_telemetry::counter!("preview.kept_speck_bytes", kept);
+        Ok(field)
     }
 
     /// Re-rates an existing SPERR stream to a (lower) size target without
@@ -888,63 +499,13 @@ impl Sperr {
     /// version of the data"). Outlier corrections are dropped — the result
     /// is a size-bounded stream with no error guarantee.
     pub fn transcode_to_bpp(&self, stream: &[u8], bpp: f64) -> Result<Vec<u8>, CompressError> {
-        if !(bpp > 0.0) || !bpp.is_finite() {
-            return Err(CompressError::Invalid(format!("invalid bitrate {bpp}")));
-        }
-        let (container, lossless) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let header = parsed.header;
-        let entries = parsed.entries;
-        let payload_start = parsed.payload_start;
-        let chunks_spec = chunk_grid(header.dims, header.chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-        let mut new_chunks = Vec::with_capacity(entries.len());
-        let mut cursor = payload_start;
-        for (spec, e) in chunks_spec.iter().zip(&entries) {
-            let speck = &container[cursor..cursor + e.speck_len];
-            cursor += e.speck_len + e.outlier_len;
-            let budget_bytes = ((bpp * spec.len() as f64) as usize / 8).saturating_sub(26);
-            let keep = e.speck_len.min(budget_bytes);
-            new_chunks.push(ChunkEncoding {
-                speck_stream: speck[..keep].to_vec(),
-                outlier_stream: Vec::new(),
-                q: e.q,
-                num_planes: e.num_planes,
-                max_n: 0,
-                num_outliers: 0,
-                speck_bits: keep * 8,
-                outlier_bits: 0,
-                times: Default::default(),
-                coeff_sq_error: 0.0,
-                max_err: f64::NAN, // truncation voids the recorded bound
-            });
-        }
-        let new_header = Header {
-            mode: Mode::Bpp,
-            kernel: header.kernel,
-            precision: header.precision,
-            native_f32: header.native_f32,
-            dims: header.dims,
-            chunk_dims: header.chunk_dims,
-            bound_value: bpp,
-            n_chunks: new_chunks.len(),
-        };
+        check_bpp(bpp)?;
+        let ps = ParsedStream::parse(stream)?;
+        let header = Header { mode: Mode::Bpp, bound_value: bpp, ..ps.header.clone() };
         // Keep the source stream's container version (v1 sources stay at
         // v2: the writer no longer emits v1 except via `downgrade_to_v1`).
-        let new_container =
-            write_container(&new_header, &new_chunks, parsed.version.max(VERSION_V2));
-        let mut out = Vec::with_capacity(new_container.len() + 1);
-        if lossless {
-            out.push(OUTER_LOSSLESS);
-            out.extend_from_slice(&sperr_lossless::compress(&new_container));
-        } else {
-            out.push(OUTER_RAW);
-            out.extend_from_slice(&new_container);
-        }
-        Ok(out)
+        let version = ps.version.max(VERSION_V2);
+        reframe(&ps, &header, version, Some(&bpp_budgets(&ps.grid, bpp)))
     }
 
     /// Re-frames a stream as a legacy **container v1** (checksum-free)
@@ -955,39 +516,8 @@ impl Sperr {
     /// around. The result must always decode to exactly the same field as
     /// the input stream.
     pub fn downgrade_to_v1(&self, stream: &[u8]) -> Result<Vec<u8>, CompressError> {
-        let (container, lossless) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let chunks: Vec<ChunkEncoding> = parsed
-            .entries
-            .iter()
-            .zip(&offsets)
-            .map(|(e, &s)| ChunkEncoding {
-                speck_stream: container[s..s + e.speck_len].to_vec(),
-                outlier_stream: container[s + e.speck_len..s + e.speck_len + e.outlier_len]
-                    .to_vec(),
-                q: e.q,
-                num_planes: e.num_planes,
-                max_n: e.max_n,
-                num_outliers: e.num_outliers,
-                speck_bits: e.speck_len * 8,
-                outlier_bits: e.outlier_len * 8,
-                times: Default::default(),
-                coeff_sq_error: 0.0,
-                max_err: f64::NAN, // not representable in v1
-            })
-            .collect();
-        let v1 = crate::container::write_container_v1(&parsed.header, &chunks);
-        let mut out = Vec::with_capacity(v1.len() + 1);
-        if lossless {
-            out.push(OUTER_LOSSLESS);
-            out.extend_from_slice(&sperr_lossless::compress(&v1));
-        } else {
-            out.push(OUTER_RAW);
-            out.extend_from_slice(&v1);
-        }
-        Ok(out)
+        let ps = ParsedStream::parse(stream)?;
+        reframe(&ps, &ps.header, VERSION_V1, None)
     }
 
     /// Re-frames a stream as a **container v2** (checksummed, index-free)
@@ -998,39 +528,8 @@ impl Sperr {
     /// conformance suite to prove the v3 fixtures are v2 goldens plus an
     /// index and nothing else.
     pub fn downgrade_to_v2(&self, stream: &[u8]) -> Result<Vec<u8>, CompressError> {
-        let (container, lossless) = Self::unwrap_outer(stream)?;
-        let parsed = read_container(&container)?;
-        verify_chunk_crcs(&container, &parsed)?;
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let chunks: Vec<ChunkEncoding> = parsed
-            .entries
-            .iter()
-            .zip(&offsets)
-            .map(|(e, &s)| ChunkEncoding {
-                speck_stream: container[s..s + e.speck_len].to_vec(),
-                outlier_stream: container[s + e.speck_len..s + e.speck_len + e.outlier_len]
-                    .to_vec(),
-                q: e.q,
-                num_planes: e.num_planes,
-                max_n: e.max_n,
-                num_outliers: e.num_outliers,
-                speck_bits: e.speck_len * 8,
-                outlier_bits: e.outlier_len * 8,
-                times: Default::default(),
-                coeff_sq_error: 0.0,
-                max_err: f64::NAN, // not representable in v2
-            })
-            .collect();
-        let v2 = write_container(&parsed.header, &chunks, VERSION_V2);
-        let mut out = Vec::with_capacity(v2.len() + 1);
-        if lossless {
-            out.push(OUTER_LOSSLESS);
-            out.extend_from_slice(&sperr_lossless::compress(&v2));
-        } else {
-            out.push(OUTER_RAW);
-            out.extend_from_slice(&v2);
-        }
-        Ok(out)
+        let ps = ParsedStream::parse(stream)?;
+        reframe(&ps, &ps.header, VERSION_V2, None)
     }
 
     /// Decompresses and returns the field together with per-stage timing
@@ -1043,52 +542,21 @@ impl Sperr {
         // The op label depends on the stream's width tag, unknown until
         // the container parses — so time manually and record on success.
         let op_t0 = sperr_telemetry::is_recording().then(std::time::Instant::now);
-        let (unwrapped, lossless_time) =
-            timed(stage_labels::LOSSLESS_DECOMPRESS, || Self::unwrap_outer(stream));
-        let (container, was_lossless) = unwrapped?;
+        let ps = ParsedStream::parse(stream)?;
         // Strict mode: any checksummed chunk failing its CRC fails the
         // whole decode (use `decompress_resilient` to salvage the rest).
-        let (parsed, container_time) = timed(stage_labels::CONTAINER_READ, || {
-            let parsed = read_container(&container)?;
-            verify_chunk_crcs(&container, &parsed)?;
-            Ok::<_, CompressError>(parsed)
-        });
-        let parsed = parsed?;
-        let header = parsed.header;
-        let entries = parsed.entries;
-        let (volume, chunk_times) = if header.native_f32 {
-            // f32-native payloads decode at their native width; widening
-            // for the f64 surface is exact, so this field carries exactly
-            // the values `decompress_f32` would return.
-            let (v32, t) =
-                self.decode_volume::<f32>(&container, &header, &entries, parsed.payload_start)?;
-            (v32.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t)
-        } else {
-            self.decode_volume::<f64>(&container, &header, &entries, parsed.payload_start)?
-        };
-
-        let mut stats = CompressionStats {
-            num_points: header.dims.iter().product(),
-            num_chunks: entries.len(),
-            container_bytes: container.len(),
-            output_bytes: stream.len(),
-            ..CompressionStats::default()
-        };
-        if was_lossless {
-            stats.stage_times.lossless = lossless_time;
-        }
-        stats.stage_times.container = container_time;
-        stats.stage_times.accumulate(&chunk_times);
+        // f32-native payloads decode at their native width and widen
+        // exactly, so this field carries the values `decompress_f32` would.
+        let d = self.decode_plan(&ps, &DecodePlan::FULL)?;
         if let Some(t0) = op_t0 {
-            let label = if header.native_f32 {
+            let label = if ps.header.native_f32 {
                 metric_labels::OP_DECOMPRESS_F32
             } else {
                 metric_labels::OP_DECOMPRESS_F64
             };
             sperr_telemetry::record_ns(label, t0.elapsed().as_nanos() as u64);
         }
-        let field = Field::new(header.dims, volume).with_precision(header.precision);
-        Ok((field, stats))
+        Ok((d.field, decode_stats(&ps, stream.len(), &d.times)))
     }
 
     /// Reconstructs an f32-native stream (precision tag 2) at its native
@@ -1107,156 +575,69 @@ impl Sperr {
     ) -> Result<(FieldOf<f32>, CompressionStats), CompressError> {
         let _run = sperr_telemetry::span!("sperr.decompress_f32", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECOMPRESS_F32);
-        let (unwrapped, lossless_time) =
-            timed(stage_labels::LOSSLESS_DECOMPRESS, || Self::unwrap_outer(stream));
-        let (container, was_lossless) = unwrapped?;
-        let (parsed, container_time) = timed(stage_labels::CONTAINER_READ, || {
-            let parsed = read_container(&container)?;
-            verify_chunk_crcs(&container, &parsed)?;
-            Ok::<_, CompressError>(parsed)
-        });
-        let parsed = parsed?;
-        if !parsed.header.native_f32 {
+        let ps = ParsedStream::parse(stream)?;
+        if !ps.header.native_f32 {
             return Err(CompressError::Invalid(
                 "stream is not f32-native; decode it with decompress() and narrow explicitly"
                     .into(),
             ));
         }
-        let header = parsed.header;
-        let entries = parsed.entries;
-        let (volume, chunk_times) =
-            self.decode_volume::<f32>(&container, &header, &entries, parsed.payload_start)?;
-        let mut stats = CompressionStats {
-            num_points: header.dims.iter().product(),
-            num_chunks: entries.len(),
-            container_bytes: container.len(),
-            output_bytes: stream.len(),
-            ..CompressionStats::default()
-        };
-        if was_lossless {
-            stats.stage_times.lossless = lossless_time;
-        }
-        stats.stage_times.container = container_time;
-        stats.stage_times.accumulate(&chunk_times);
-        let field = FieldOf::<f32>::new(header.dims, volume).with_precision(header.precision);
-        Ok((field, stats))
-    }
-
-    /// Decodes every chunk of a parsed container at sample width `T` and
-    /// assembles the full volume, returning it with the accumulated
-    /// per-chunk stage times. Pool scheduling (outer chunk map vs.
-    /// intra-chunk fan-out) is width-independent, so thread-count
-    /// determinism holds at both widths.
-    fn decode_volume<T: Float>(
-        &self,
-        container: &[u8],
-        header: &Header,
-        entries: &[ChunkEntry],
-        payload_start: usize,
-    ) -> Result<(Vec<T>, StageTimes), CompressError> {
-        let chunks_spec = chunk_grid(header.dims, header.chunk_dims);
-        if chunks_spec.len() != entries.len() {
-            return Err(CompressError::Corrupt("chunk table size mismatch".into()));
-        }
-
-        // Pre-slice each chunk's payload region.
-        let offsets = chunk_offsets(entries, payload_start);
-
-        let tolerance = match header.mode {
-            Mode::Pwe => header.bound_value,
-            Mode::Bpp | Mode::Rmse => 0.0,
-        };
-        let n_chunks = entries.len();
-        let threads = self.effective_threads(&chunks_spec);
-        let offsets_ref = &offsets;
-        let specs_ref = &chunks_spec;
-        let kernel = header.kernel;
-        type Decoded<T> = Result<(Vec<T>, StageTimes), CompressError>;
-        let decoded: Vec<Decoded<T>> = WorkerPool::scoped(threads, |pool| {
-            let arenas = PerWorker::new(pool.threads(), ScratchArena::<T>::new);
-            let decode_one = |i: usize, w: usize| {
-                // SAFETY: concurrent jobs see distinct worker slots.
-                let arena = unsafe { arenas.get(w) };
-                let e = &entries[i];
-                let start = offsets_ref[i];
-                let speck = &container[start..start + e.speck_len];
-                let outlier =
-                    &container[start + e.speck_len..start + e.speck_len + e.outlier_len];
-                decompress_chunk_with(
-                    speck,
-                    outlier,
-                    specs_ref[i].dims,
-                    e.q,
-                    e.num_planes,
-                    e.max_n,
-                    tolerance,
-                    kernel,
-                    pool,
-                    arena,
-                )
-            };
-            let decoded = if n_chunks >= pool.threads() {
-                pool.map(n_chunks, |i, w| decode_one(i, w))
-            } else {
-                (0..n_chunks).map(|i| decode_one(i, 0)).collect()
-            };
-            for w in 0..pool.threads() {
-                // SAFETY: all jobs have completed; no concurrent users.
-                unsafe { arenas.get(w) }.record_footprint();
-            }
-            decoded
-        });
-
-        let mut times = StageTimes::default();
-        let mut volume = vec![T::ZERO; header.dims.iter().product()];
-        for (spec, result) in chunks_spec.iter().zip(decoded) {
-            let (chunk, t) = result?;
-            times.accumulate(&t);
-            insert_chunk(&mut volume, header.dims, spec, &chunk);
-        }
-        Ok((volume, times))
+        let d = self.decode_plan(&ps, &DecodePlan::FULL)?;
+        Ok((d.field, decode_stats(&ps, stream.len(), &d.times)))
     }
 }
 
-/// One-time warning that a region query had to scan a legacy container.
-/// `Once` so a service looping over regions does not flood stderr; the
-/// fallback itself is fully supported, just not seekable.
-fn warn_legacy_region_scan(version: u8) {
-    static WARNED: std::sync::Once = std::sync::Once::new();
-    WARNED.call_once(|| {
-        eprintln!(
-            "sperr: container v{version} carries no chunk index; decode_region is walking \
-             the chunk table instead of seeking (re-encode as container v3 for indexed \
-             random access). This warning is printed once per process."
-        );
-    });
+/// Per-chunk encode target: the container mode and bound value, plus the
+/// RMSE target a PSNR bound resolves to over the whole field.
+#[derive(Debug, Clone, Copy)]
+pub(crate) struct ChunkTarget {
+    pub mode: Mode,
+    pub bound_value: f64,
+    pub rmse_target: f64,
 }
 
-/// Byte offset of each chunk's payload within the container.
-pub(crate) fn chunk_offsets(entries: &[ChunkEntry], payload_start: usize) -> Vec<usize> {
-    let mut offsets = Vec::with_capacity(entries.len());
-    let mut cursor = payload_start;
-    for e in entries {
-        offsets.push(cursor);
-        cursor += e.speck_len + e.outlier_len;
+/// Checks a bound and maps it to the container mode and bound value.
+pub(crate) fn parse_bound(bound: Bound) -> Result<(Mode, f64), CompressError> {
+    let (mode, value, what) = match bound {
+        Bound::Pwe(t) => (Mode::Pwe, t, "tolerance"),
+        Bound::Bpp(r) => (Mode::Bpp, r, "bitrate"),
+        // §VII extension: average-error-targeted compression via the
+        // near-orthogonality of the transform.
+        Bound::Psnr(p) => (Mode::Rmse, p, "PSNR target"),
+    };
+    if !(value > 0.0) || !value.is_finite() {
+        return Err(CompressError::Invalid(format!("invalid {what} {value}")));
     }
-    offsets
+    Ok((mode, value))
 }
 
-/// Checks every chunk payload against its v2 CRC; no-op for v1 streams.
-pub(crate) fn verify_chunk_crcs(
-    container: &[u8],
-    parsed: &crate::container::Parsed,
-) -> Result<(), CompressError> {
-    let Some(crcs) = &parsed.chunk_crcs else { return Ok(()) };
-    let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-    for (i, (e, &start)) in parsed.entries.iter().zip(&offsets).enumerate() {
-        let payload = &container[start..start + e.speck_len + e.outlier_len];
-        if crc32(payload) != crcs[i] {
-            return Err(CompressError::Corrupt(format!("chunk {i} payload checksum mismatch")));
-        }
-    }
-    Ok(())
+fn check_bpp(bpp: f64) -> Result<(), CompressError> {
+    parse_bound(Bound::Bpp(bpp)).map(|_| ())
+}
+
+/// Per-chunk SPECK byte budgets for a uniform `bpp` target, net of the
+/// amortized chunk-table overhead (shared by previews and transcodes so
+/// the two stay bit-identical).
+fn bpp_budgets(grid: &[ChunkSpec], bpp: f64) -> Vec<usize> {
+    grid.iter().map(|spec| ((bpp * spec.len() as f64) as usize / 8).saturating_sub(26)).collect()
+}
+
+/// Decode-side statistics: stream geometry plus parse and chunk times.
+fn decode_stats(
+    ps: &ParsedStream,
+    stream_len: usize,
+    chunk_times: &StageTimes,
+) -> CompressionStats {
+    let mut stats = CompressionStats {
+        num_points: ps.header.dims.iter().product(),
+        num_chunks: ps.entries.len(),
+        container_bytes: ps.container_len(),
+        output_bytes: stream_len,
+        stage_times: ps.times,
+        ..CompressionStats::default()
+    };
+    stats.stage_times.accumulate(chunk_times);
+    stats
 }
 
 /// Outcome of one chunk in [`Sperr::decompress_resilient`].
@@ -1269,6 +650,20 @@ pub enum ChunkStatus {
     /// The payload passed its checksum (or the stream is v1) but the
     /// coders rejected it.
     DecodeFailed(CompressError),
+}
+
+impl ChunkStatus {
+    /// The outcome a strict caller reports for chunk `id`: `Ok` passes,
+    /// a failure becomes its typed error.
+    pub(crate) fn into_result(self, id: usize) -> Result<(), CompressError> {
+        match self {
+            ChunkStatus::Ok => Ok(()),
+            ChunkStatus::ChecksumMismatch => {
+                Err(CompressError::Corrupt(format!("chunk {id} payload checksum mismatch")))
+            }
+            ChunkStatus::DecodeFailed(e) => Err(e),
+        }
+    }
 }
 
 /// Per-chunk outcomes of a resilient decode.
@@ -1304,8 +699,10 @@ pub struct RegionReport {
     pub chunk_ids: Vec<usize>,
     /// One status per intersecting chunk, parallel to `chunk_ids`.
     pub statuses: Vec<ChunkStatus>,
-    /// Whether the container-v3 chunk index was used to seek (false for
-    /// legacy v1/v2 streams, which fall back to a chunk-table scan).
+    /// Whether the stream carried a chunk index (container v3), validated
+    /// against the chunk table at parse time. Either way the payload
+    /// offsets are the same; v1/v2 streams simply derive them from the
+    /// chunk table alone.
     pub used_index: bool,
 }
 
@@ -1399,6 +796,7 @@ impl LossyCompressor for Sperr {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::engine::OUTER_RAW;
 
     fn test_field(dims: [usize; 3]) -> Field {
         Field::from_fn(dims, |x, y, z| {
@@ -1421,30 +819,9 @@ mod tests {
         let field = test_field([16, 16, 16]);
         let sperr = raw_sperr();
         let v2 = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
-        let parsed = read_container(&v2[1..]).unwrap();
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let chunks: Vec<ChunkEncoding> = parsed
-            .entries
-            .iter()
-            .zip(&offsets)
-            .map(|(e, &s)| ChunkEncoding {
-                speck_stream: v2[1 + s..1 + s + e.speck_len].to_vec(),
-                outlier_stream:
-                    v2[1 + s + e.speck_len..1 + s + e.speck_len + e.outlier_len].to_vec(),
-                q: e.q,
-                num_planes: e.num_planes,
-                max_n: e.max_n,
-                num_outliers: e.num_outliers,
-                speck_bits: e.speck_len * 8,
-                outlier_bits: e.outlier_len * 8,
-                times: Default::default(),
-                coeff_sq_error: 0.0,
-                max_err: f64::NAN,
-            })
-            .collect();
-        let v1 = crate::container::write_container_v1(&parsed.header, &chunks);
-        let mut legacy = vec![OUTER_RAW];
-        legacy.extend_from_slice(&v1);
+        let legacy = sperr.downgrade_to_v1(&v2).unwrap();
+        assert_eq!(legacy[0], OUTER_RAW);
+        assert_eq!(crate::container::read_container(&legacy[1..]).unwrap().version, 1);
         assert_eq!(
             sperr.decompress(&legacy).unwrap().data,
             sperr.decompress(&v2).unwrap().data
@@ -1528,14 +905,54 @@ mod tests {
             for (i, s) in streams.iter().enumerate().skip(1) {
                 assert_eq!(&streams[0], s, "threads=1 vs threads={}", [1, 2, 4, 8][i]);
             }
-            // Decompression is also thread-count independent.
-            let rec1 = Sperr::new(SperrConfig { num_threads: 1, ..SperrConfig::default() })
-                .decompress(&streams[0])
-                .unwrap();
-            let rec8 = Sperr::new(SperrConfig { num_threads: 8, ..SperrConfig::default() })
-                .decompress(&streams[0])
-                .unwrap();
-            assert_eq!(rec1.data, rec8.data);
+            // Every decode surface is thread-count independent too.
+            let case = format!("{dims:?} {bound:?}");
+            assert_decode_surfaces_thread_independent(&streams[0], &case);
+        }
+    }
+
+    /// Every f64 decode surface of `stream` at `threads` workers, as raw
+    /// bits: strict; resilient on the clean stream and with chunk 1
+    /// damaged; multi-resolution level 1; and a half-budget preview.
+    fn decode_surfaces(stream: &[u8], threads: usize) -> Vec<Result<Vec<u64>, String>> {
+        let sperr = Sperr::new(SperrConfig {
+            chunk_dims: [16, 16, 16],
+            num_threads: threads,
+            lossless: false,
+            ..SperrConfig::default()
+        });
+        let bits = |f: Result<Field, CompressError>| {
+            f.map(|f| f.data.iter().map(|v| v.to_bits()).collect()).map_err(|e| e.to_string())
+        };
+        let info = sperr.inspect(stream).unwrap();
+        let mut bad = stream.to_vec();
+        bad[1 + info.payload_offset + info.chunk_payload_sizes[0] + 2] ^= 0xFF;
+        let (clean, clean_report) = sperr.decompress_resilient(stream).unwrap();
+        assert!(clean_report.all_ok());
+        let (damaged, report) = sperr.decompress_resilient(&bad).unwrap();
+        assert_eq!(report.failed_chunks(), vec![1]);
+        let budgets: Vec<usize> = info.chunk_payload_sizes.iter().map(|s| s / 2).collect();
+        // Multi-resolution may fail (a boundary chunk too thin for a
+        // level); then it must fail the same way at every thread count.
+        vec![
+            bits(sperr.decompress(stream)),
+            bits(Ok(clean)),
+            bits(Ok(damaged)),
+            bits(sperr.decompress_multires(stream, 1)),
+            bits(sperr.decode_at_budgets(stream, &budgets)),
+        ]
+    }
+
+    fn assert_decode_surfaces_thread_independent(stream: &[u8], case: &str) {
+        let reference = decode_surfaces(stream, 1);
+        for threads in [2usize, 4, 8] {
+            let got = decode_surfaces(stream, threads);
+            for (surface, (a, b)) in ["strict", "resilient", "damaged", "multires", "preview"]
+                .iter()
+                .zip(reference.iter().zip(&got))
+            {
+                assert!(a == b, "{surface} decode differs at {threads} threads ({case})");
+            }
         }
     }
 
@@ -1587,8 +1004,8 @@ mod tests {
     #[test]
     fn decode_region_seeks_v3_and_scans_legacy() {
         // The same bbox query must produce identical bytes from a v3
-        // stream (index seek), its v2 downgrade and its v1 downgrade
-        // (both full-scan fallback), with used_index reporting the path.
+        // stream, its v2 downgrade and its v1 downgrade (both index-free),
+        // with used_index reporting whether the stream carried an index.
         let field = test_field([40, 24, 16]);
         let sperr = raw_sperr();
         let v3 = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
@@ -1821,6 +1238,8 @@ mod tests {
                 let same = d.iter().zip(&decodes[0]).all(|(a, b)| a.to_bits() == b.to_bits());
                 assert!(same, "f32 decode differs across threads ({dims:?})");
             }
+            let case = format!("f32 {dims:?} {bound:?}");
+            assert_decode_surfaces_thread_independent(&streams[0], &case);
         }
     }
 

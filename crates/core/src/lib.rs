@@ -34,7 +34,13 @@
 //!
 //! Large volumes are split into chunks (default 256³, configurable, not
 //! required to divide the volume — §III-D) and chunks are processed
-//! embarrassingly parallel on scoped threads.
+//! embarrassingly parallel on one worker pool, with one scratch arena per
+//! worker. Every read — full, region, preview, multi-resolution,
+//! resilient and streaming — runs through one decode engine: the stream
+//! is parsed once, then the chunks a plan touches (all, or those meeting
+//! a bounding box) decode at the chosen fidelity (full, byte budgets, or
+//! a coarse level) under the chosen damage policy (fail, or zero-fill and
+//! report) at the payload's native width, widening once into the output.
 //!
 //! # Example
 //!
@@ -59,6 +65,7 @@ mod chunk;
 mod compressor;
 mod container;
 mod crc32;
+mod engine;
 #[doc(hidden)]
 pub mod faultpoint;
 mod pipeline;
@@ -76,8 +83,7 @@ pub use container::{ChunkIndexEntry, VERSION as CONTAINER_VERSION};
 pub use crc32::crc32;
 pub use pipeline::{
     compress_chunk_bpp, compress_chunk_bpp_with, compress_chunk_pwe, compress_chunk_pwe_with,
-    compress_chunk_rmse, compress_chunk_rmse_with, decompress_chunk, decompress_chunk_multires,
-    decompress_chunk_region_with, decompress_chunk_with, ChunkEncoding, ScratchArena,
+    compress_chunk_rmse, compress_chunk_rmse_with, decompress_chunk, ChunkEncoding, ScratchArena,
 };
 pub use pool::{JobPanic, WorkerPool};
 /// The sample-width abstraction the generic pipeline is written against,
@@ -336,28 +342,7 @@ mod tests {
                 coarse.dims,
                 [64usize.div_ceil(s), 64usize.div_ceil(s), 32usize.div_ceil(s)]
             );
-            // The coarse field must resemble a downsampling of the data:
-            // compare against the original at the corresponding grid
-            // positions (loose bound — wavelet smoothing shifts values).
-            let mut err_sum = 0.0;
-            let mut count = 0usize;
-            for z in 0..coarse.dims[2] {
-                for y in 0..coarse.dims[1] {
-                    for x in 0..coarse.dims[0] {
-                        let orig = field.data
-                            [(x * s).min(63) + 64 * ((y * s).min(63) + 64 * (z * s).min(31))];
-                        let c = coarse.data[x + coarse.dims[0] * (y + coarse.dims[1] * z)];
-                        err_sum += (orig - c).abs();
-                        count += 1;
-                    }
-                }
-            }
-            let mean_err = err_sum / count as f64;
-            assert!(
-                mean_err < field.range() * 0.1,
-                "level {level}: mean deviation {mean_err} vs range {}",
-                field.range()
-            );
+            assert_coarse_resembles(&field, &coarse, level);
         }
     }
 
@@ -372,8 +357,52 @@ mod tests {
         let stream = sperr.compress(&field, Bound::Pwe(t)).unwrap();
         let coarse = sperr.decompress_multires(&stream, 1).unwrap();
         assert_eq!(coarse.dims, [32, 16, 16]);
+        assert_coarse_resembles(&field, &coarse, 1);
         // Too-deep level must error cleanly, not panic.
         assert!(sperr.decompress_multires(&stream, 7).is_err());
+    }
+
+    #[test]
+    fn multires_multi_chunk_f32_native() {
+        // Tag-2 twin: the coarse field decodes at f32 and widens once.
+        let field = wavy_field([64, 32, 32]);
+        let sperr = Sperr::new(SperrConfig {
+            chunk_dims: [32, 32, 32],
+            ..SperrConfig::default()
+        });
+        let t = field.tolerance_for_idx(15);
+        let stream = sperr.compress_f32(&field.narrow_lossy(), Bound::Pwe(t)).unwrap();
+        assert!(sperr.inspect(&stream).unwrap().native_f32);
+        let coarse = sperr.decompress_multires(&stream, 1).unwrap();
+        assert_eq!(coarse.dims, [32, 16, 16]);
+        assert!(coarse.data.iter().all(|&v| v == v as f32 as f64), "not widened from f32");
+        assert_coarse_resembles(&field, &coarse, 1);
+        assert!(sperr.decompress_multires(&stream, 7).is_err());
+    }
+
+    /// A level-`level` coarse field must resemble a downsampling of the
+    /// data (loose bound — wavelet smoothing shifts values).
+    fn assert_coarse_resembles(field: &Field, coarse: &Field, level: usize) {
+        let s = 1usize << level;
+        let [nx, ny, nz] = field.dims;
+        let mut err_sum = 0.0;
+        for z in 0..coarse.dims[2] {
+            for y in 0..coarse.dims[1] {
+                for x in 0..coarse.dims[0] {
+                    let (ox, oy) = ((x * s).min(nx - 1), (y * s).min(ny - 1));
+                    let oz = (z * s).min(nz - 1);
+                    let orig = field.data[ox + nx * (oy + ny * oz)];
+                    let c = coarse.data[x + coarse.dims[0] * (y + coarse.dims[1] * z)];
+                    err_sum += (orig - c).abs();
+                }
+            }
+        }
+        let mean_err = err_sum / coarse.data.len() as f64;
+        assert!(
+            mean_err < field.range() * 0.1,
+            "level {level}: mean deviation {mean_err} vs range {}",
+            field.range()
+        );
     }
 
     #[test]

@@ -3,10 +3,11 @@
 //!
 //! Each stage comes in two flavours: the classic allocating entry points
 //! (`compress_chunk_pwe`, `decompress_chunk`, …) kept for API
-//! compatibility and tests, and the hot-path `_with` variants that take a
-//! [`WorkerPool`] plus a reusable [`ScratchArena`] so that compressing a
-//! stream of chunks performs no per-chunk allocations and can fan the
-//! elementwise and wavelet work out across the pool.
+//! compatibility and tests, and the hot-path variants — `_with` on the
+//! compress side, [`ChunkDecode::run`] on the decode side — that take a
+//! [`WorkerPool`] plus a reusable [`ScratchArena`] so that a stream of
+//! chunks reuses its scratch and can fan the elementwise and wavelet work
+//! out across the pool.
 //!
 //! # Determinism
 //!
@@ -16,6 +17,7 @@
 //! therefore the compressed bytes — are identical for any `--threads`
 //! value, and identical to the serial reference path.
 
+use crate::container::ChunkEntry;
 use crate::pool::WorkerPool;
 use crate::stats::{stage_labels, StageTimes};
 use sperr_compress_api::CompressError;
@@ -24,7 +26,8 @@ use sperr_simd::Float;
 use sperr_speck::Termination;
 use sperr_telemetry::timed;
 use sperr_wavelet::{
-    forward_3d_with, inverse_3d_with, levels_for_dims, Kernel, TransformScratch,
+    coarse_dims, coarse_scale, forward_3d_with, inverse_3d_partial_with, inverse_3d_with,
+    levels_for_dims, Kernel, TransformScratch,
 };
 
 /// Block length (in samples) for parallel elementwise sweeps. Fixed — not
@@ -476,46 +479,10 @@ pub fn compress_chunk_rmse_with<T: Float>(
     }
 }
 
-/// Multi-resolution decompression of one chunk (paper §VII: the wavelet
-/// hierarchy "enables multi-level reconstruction that is useful in areas
-/// such as explorative analysis"): decodes the coefficients, undoes all
-/// but the finest `level` transform levels, and returns the coarse
-/// approximation (re-scaled to physical units) together with its dims.
-/// Outlier corrections are full-resolution data and do not apply to a
-/// coarse reconstruction.
-pub fn decompress_chunk_multires(
-    speck_stream: &[u8],
-    dims: [usize; 3],
-    q: f64,
-    num_planes: u8,
-    level: usize,
-    kernel: Kernel,
-) -> Result<(Vec<f64>, [usize; 3]), CompressError> {
-    let levels = levels_for_dims(dims);
-    if levels.iter().any(|&l| l < level) {
-        return Err(CompressError::Invalid(format!(
-            "resolution level {level} exceeds the chunk's transform depth {levels:?}"
-        )));
-    }
-    let mut coeffs: Vec<f64> = sperr_speck::decode(speck_stream, dims, q, num_planes)?;
-    sperr_wavelet::inverse_3d_partial(&mut coeffs, dims, levels, level, kernel);
-    let cdims = sperr_wavelet::coarse_dims(dims, levels, level);
-    let scale = 1.0 / sperr_wavelet::coarse_scale(dims, levels, level);
-    let mut out = Vec::with_capacity(cdims.iter().product());
-    for z in 0..cdims[2] {
-        for y in 0..cdims[1] {
-            for x in 0..cdims[0] {
-                out.push(coeffs[x + dims[0] * (y + dims[1] * z)] * scale);
-            }
-        }
-    }
-    Ok((out, cdims))
-}
-
 /// Decompresses one chunk. `tolerance` must be the compression-time `t`
 /// for PWE streams (used to scale outlier thresholds); it is ignored when
 /// the outlier stream is empty. Allocating compatibility wrapper around
-/// [`decompress_chunk_with`].
+/// the decoder every `Sperr` read runs on the worker pool.
 #[allow(clippy::too_many_arguments)]
 pub fn decompress_chunk<T: Float>(
     speck_stream: &[u8],
@@ -527,135 +494,109 @@ pub fn decompress_chunk<T: Float>(
     tolerance: f64,
     kernel: Kernel,
 ) -> Result<Vec<T>, CompressError> {
-    decompress_chunk_with(
-        speck_stream,
-        outlier_stream,
-        dims,
+    let entry = ChunkEntry {
         q,
         num_planes,
         max_n,
-        tolerance,
-        kernel,
-        &WorkerPool::inline(),
-        &mut ScratchArena::new(),
-    )
-    .map(|(data, _)| data)
+        num_outliers: 0,
+        speck_len: speck_stream.len(),
+        outlier_len: outlier_stream.len(),
+    };
+    let chunk = ChunkDecode { dims, entry: &entry, tolerance, kernel, level: 0, keep: None };
+    chunk
+        .run(speck_stream, outlier_stream, &WorkerPool::inline(), &mut ScratchArena::new())
+        .map(|(data, _)| data)
 }
 
-/// Hot-path decompression: the inverse wavelet transform runs on `pool`
-/// using `arena`'s panel scratch. Also reports per-stage wall times
-/// (SPECK decode / wavelet / outlier correction) for `info --verbose`.
-#[allow(clippy::too_many_arguments)]
-pub fn decompress_chunk_with<T: Float>(
-    speck_stream: &[u8],
-    outlier_stream: &[u8],
-    dims: [usize; 3],
-    q: f64,
-    num_planes: u8,
-    max_n: u8,
-    tolerance: f64,
-    kernel: Kernel,
-    pool: &WorkerPool,
-    arena: &mut ScratchArena<T>,
-) -> Result<(Vec<T>, StageTimes), CompressError> {
-    decompress_chunk_inner(
-        speck_stream,
-        outlier_stream,
-        dims,
-        q,
-        num_planes,
-        max_n,
-        tolerance,
-        kernel,
-        None,
-        pool,
-        arena,
-    )
+/// One chunk's decode job: its geometry and chunk-table entry, plus the
+/// two fidelity knobs the read surfaces vary.
+pub(crate) struct ChunkDecode<'e> {
+    pub dims: [usize; 3],
+    pub entry: &'e ChunkEntry,
+    /// The stream's PWE tolerance (scales the outlier thresholds).
+    pub tolerance: f64,
+    pub kernel: Kernel,
+    /// Finest transform levels left un-inverted (paper §VII
+    /// multi-resolution): 0 is the full-resolution decode; above 0 the
+    /// coarse approximation comes back re-scaled to physical units,
+    /// without outlier corrections (they are full-resolution data).
+    pub level: usize,
+    /// Chunk-local half-open box outside which outlier corrections are
+    /// skipped (region decode). The wavelet transform is global to the
+    /// chunk, so the whole chunk is still reconstructed, and the box is
+    /// bit-identical to a full decode (corrections are point-local, Eq. 1).
+    pub keep: Option<([usize; 3], [usize; 3])>,
 }
 
-/// Region-of-interest variant of [`decompress_chunk_with`]: identical
-/// pipeline, but outlier corrections landing outside the chunk-local
-/// half-open box `keep_lo..keep_hi` are skipped. The wavelet transform is
-/// global to the chunk, so the full chunk is still reconstructed — only
-/// the sparse correction pass is scoped — and the kept box is
-/// bit-identical to a full decode of the chunk (corrections are
-/// point-local, Eq. 1). Used by [`crate::Sperr::decode_region`].
-#[allow(clippy::too_many_arguments)]
-pub fn decompress_chunk_region_with<T: Float>(
-    speck_stream: &[u8],
-    outlier_stream: &[u8],
-    dims: [usize; 3],
-    q: f64,
-    num_planes: u8,
-    max_n: u8,
-    tolerance: f64,
-    kernel: Kernel,
-    keep_lo: [usize; 3],
-    keep_hi: [usize; 3],
-    pool: &WorkerPool,
-    arena: &mut ScratchArena<T>,
-) -> Result<(Vec<T>, StageTimes), CompressError> {
-    decompress_chunk_inner(
-        speck_stream,
-        outlier_stream,
-        dims,
-        q,
-        num_planes,
-        max_n,
-        tolerance,
-        kernel,
-        Some((keep_lo, keep_hi)),
-        pool,
-        arena,
-    )
-}
+impl ChunkDecode<'_> {
+    /// Runs SPECK decode, the (partial) inverse wavelet transform on
+    /// `pool` with `arena`'s panel scratch, and the outlier corrections,
+    /// reporting per-stage wall times. The result has the chunk's dims at
+    /// level 0 and its coarse dims above.
+    pub fn run<T: Float>(
+        &self,
+        speck_stream: &[u8],
+        outlier_stream: &[u8],
+        pool: &WorkerPool,
+        arena: &mut ScratchArena<T>,
+    ) -> Result<(Vec<T>, StageTimes), CompressError> {
+        let Self { dims, entry, tolerance, kernel, level, keep } = *self;
+        let levels = levels_for_dims(dims);
+        if levels.iter().any(|&l| l < level) {
+            return Err(CompressError::Invalid(format!(
+                "resolution level {level} exceeds the chunk's transform depth {levels:?}"
+            )));
+        }
+        crate::faultpoint::stage(stage_labels::SPECK_DECODE);
+        let (decoded, speck_time) = timed(stage_labels::SPECK_DECODE, || {
+            sperr_speck::decode(speck_stream, dims, entry.q, entry.num_planes)
+        });
+        let mut coeffs: Vec<T> = decoded?;
 
-#[allow(clippy::too_many_arguments)]
-fn decompress_chunk_inner<T: Float>(
-    speck_stream: &[u8],
-    outlier_stream: &[u8],
-    dims: [usize; 3],
-    q: f64,
-    num_planes: u8,
-    max_n: u8,
-    tolerance: f64,
-    kernel: Kernel,
-    keep: Option<([usize; 3], [usize; 3])>,
-    pool: &WorkerPool,
-    arena: &mut ScratchArena<T>,
-) -> Result<(Vec<T>, StageTimes), CompressError> {
-    let levels = levels_for_dims(dims);
-    crate::faultpoint::stage(stage_labels::SPECK_DECODE);
-    let (decoded, speck_time) = timed(stage_labels::SPECK_DECODE, || {
-        sperr_speck::decode(speck_stream, dims, q, num_planes)
-    });
-    let mut coeffs = decoded?;
+        crate::faultpoint::stage(stage_labels::WAVELET_INVERSE);
+        let ((), wavelet_time) = timed(stage_labels::WAVELET_INVERSE, || {
+            let scratch = &mut arena.wavelet;
+            inverse_3d_partial_with(&mut coeffs, dims, levels, level, kernel, pool, scratch);
+        });
+        let mut times =
+            StageTimes { wavelet: wavelet_time, speck: speck_time, ..StageTimes::default() };
+        if level > 0 {
+            let cdims = coarse_dims(dims, levels, level);
+            let scale = 1.0 / coarse_scale(dims, levels, level);
+            let mut out = Vec::with_capacity(cdims.iter().product());
+            for z in 0..cdims[2] {
+                for y in 0..cdims[1] {
+                    let row = dims[0] * (y + dims[1] * z);
+                    out.extend(
+                        coeffs[row..row + cdims[0]]
+                            .iter()
+                            .map(|&c| T::from_f64(c.to_f64() * scale)),
+                    );
+                }
+            }
+            return Ok((out, times));
+        }
 
-    crate::faultpoint::stage(stage_labels::WAVELET_INVERSE);
-    let ((), wavelet_time) = timed(stage_labels::WAVELET_INVERSE, || {
-        inverse_3d_with(&mut coeffs, dims, levels, kernel, pool, &mut arena.wavelet);
-    });
-
-    crate::faultpoint::stage(stage_labels::OUTLIER_APPLY);
-    let (applied, outlier_time) = timed(stage_labels::OUTLIER_APPLY, || {
-        if !outlier_stream.is_empty() {
+        crate::faultpoint::stage(stage_labels::OUTLIER_APPLY);
+        let (applied, outlier_time) = timed(stage_labels::OUTLIER_APPLY, || {
+            if outlier_stream.is_empty() {
+                return Ok(());
+            }
             if !(tolerance > 0.0) {
                 return Err(CompressError::Corrupt(
                     "outlier stream present but tolerance missing".into(),
                 ));
             }
             let corrections =
-                sperr_outlier::decode(outlier_stream, coeffs.len(), tolerance, max_n)?;
+                sperr_outlier::decode(outlier_stream, coeffs.len(), tolerance, entry.max_n)?;
             for c in corrections {
                 if c.pos >= coeffs.len() {
                     return Err(CompressError::Corrupt("outlier position out of range".into()));
                 }
                 if let Some((lo, hi)) = keep {
-                    let x = c.pos % dims[0];
-                    let y = (c.pos / dims[0]) % dims[1];
-                    let z = c.pos / (dims[0] * dims[1]);
-                    if x < lo[0] || x >= hi[0] || y < lo[1] || y >= hi[1] || z < lo[2] || z >= hi[2]
-                    {
+                    let (x, yz) = (c.pos % dims[0], c.pos / dims[0]);
+                    let p = [x, yz % dims[1], yz / dims[1]];
+                    if (0..3).any(|d| p[d] < lo[d] || p[d] >= hi[d]) {
                         continue;
                     }
                 }
@@ -663,18 +604,12 @@ fn decompress_chunk_inner<T: Float>(
                 // so the f32 path pays a single rounding (exact for f64).
                 coeffs[c.pos] = T::from_f64(coeffs[c.pos].to_f64() + c.corr);
             }
-        }
-        Ok(())
-    });
-    applied?;
-
-    let times = StageTimes {
-        wavelet: wavelet_time,
-        speck: speck_time,
-        outlier_coding: outlier_time,
-        ..StageTimes::default()
-    };
-    Ok((coeffs, times))
+            Ok(())
+        });
+        applied?;
+        times.outlier_coding = outlier_time;
+        Ok((coeffs, times))
+    }
 }
 
 #[cfg(test)]
@@ -685,6 +620,17 @@ mod tests {
         (0..dims.iter().product())
             .map(|i| (i as f64 * 0.213).sin() * 12.0 + (i as f64 * 0.0071).cos() * 3.0)
             .collect()
+    }
+
+    fn entry_of(enc: &ChunkEncoding) -> ChunkEntry {
+        ChunkEntry {
+            q: enc.q,
+            num_planes: enc.num_planes,
+            max_n: enc.max_n,
+            num_outliers: enc.num_outliers,
+            speck_len: enc.speck_stream.len(),
+            outlier_len: enc.outlier_stream.len(),
+        }
     }
 
     #[test]
@@ -849,22 +795,18 @@ mod tests {
         )
         .unwrap();
         let (lo, hi) = ([3usize, 0, 2], [9usize, 12, 7]);
-        let mut arena = ScratchArena::<f64>::new();
-        let (region, _) = decompress_chunk_region_with(
-            &enc.speck_stream,
-            &enc.outlier_stream,
-            dims,
-            enc.q,
-            enc.num_planes,
-            enc.max_n,
-            t,
-            Kernel::Cdf97,
-            lo,
-            hi,
-            &WorkerPool::inline(),
-            &mut arena,
-        )
-        .unwrap();
+        let entry = entry_of(&enc);
+        let keep = Some((lo, hi));
+        let kernel = Kernel::Cdf97;
+        let chunk = ChunkDecode { dims, entry: &entry, tolerance: t, kernel, level: 0, keep };
+        let (region, _) = chunk
+            .run::<f64>(
+                &enc.speck_stream,
+                &enc.outlier_stream,
+                &WorkerPool::inline(),
+                &mut ScratchArena::new(),
+            )
+            .unwrap();
         for z in lo[2]..hi[2] {
             for y in lo[1]..hi[1] {
                 for x in lo[0]..hi[0] {
@@ -892,21 +834,15 @@ mod tests {
             Kernel::Cdf97,
         )
         .unwrap();
+        let entry = entry_of(&enc);
+        let keep = None;
+        let kernel = Kernel::Cdf97;
+        let chunk = ChunkDecode { dims, entry: &entry, tolerance: t, kernel, level: 0, keep };
         let mut arena = ScratchArena::new();
         WorkerPool::scoped(3, |pool| {
-            let (pooled, times) = decompress_chunk_with(
-                &enc.speck_stream,
-                &enc.outlier_stream,
-                dims,
-                enc.q,
-                enc.num_planes,
-                enc.max_n,
-                t,
-                Kernel::Cdf97,
-                pool,
-                &mut arena,
-            )
-            .unwrap();
+            let (pooled, times) = chunk
+                .run(&enc.speck_stream, &enc.outlier_stream, pool, &mut arena)
+                .unwrap();
             assert_eq!(serial, pooled);
             assert!(times.speck + times.wavelet > std::time::Duration::ZERO);
         });

@@ -59,22 +59,15 @@ use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::{Condvar, Mutex};
 
 use crate::chunk::{chunk_grid, ChunkSpec};
-use crate::compressor::{
-    chunk_offsets, verify_chunk_crcs, Sperr, OUTER_LOSSLESS, OUTER_RAW, PER_CHUNK_HEADER_BITS,
-};
-use crate::container::{read_container, write_container, ChunkEntry, Header, Mode};
-use crate::crc32::crc32;
+use crate::compressor::{parse_bound, ChunkTarget, Sperr};
+use crate::engine::{Fidelity, ParsedStream};
 use crate::faultpoint;
-use crate::pipeline::{
-    compress_chunk_bpp_with, compress_chunk_pwe_with, decompress_chunk_with, ChunkEncoding,
-    ScratchArena,
-};
+use crate::pipeline::{ChunkEncoding, ScratchArena};
 use crate::pool::{lock_ignore_poison, panic_payload_message, PerWorker, WorkerPool};
-use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
+use crate::stats::{metric_labels, CompressionStats, StageTimes};
 use crate::ChunkStatus;
 use sperr_compress_api::{Bound, CompressError, Precision};
 use sperr_simd::Float;
-use sperr_telemetry::timed;
 
 /// Stage labels specific to the streaming pipeline (the per-chunk codec
 /// stages reuse [`stage_labels`]).
@@ -402,9 +395,9 @@ fn ingest_volume<R: Read, T: Float>(
     Ok(())
 }
 
-/// Shared state of one parallel streaming run. Generic over the raw
-/// sample type the compress direction buffers (`f64` on the decompress
-/// side, whose decoded chunks are widened before entering the mailbox).
+/// Shared state of one parallel streaming run. Generic over the sample
+/// width of the chunk buffers: the raw input width when compressing, the
+/// payload's native width when decompressing (rows widen at emit).
 struct PipeState<T> {
     /// Completed chunk buffers awaiting their worker (compress) or the
     /// emitter (decompress): index → payload.
@@ -522,16 +515,10 @@ impl Sperr {
         // Outer guard: a panic anywhere on the caller thread (e.g. in
         // container assembly, after the pool has drained) still surfaces
         // as a typed error — nothing unwinds out of the public API.
-        catch_unwind(AssertUnwindSafe(|| {
+        guarded(None, || {
             self.compress_stream_inner::<f64, R, W>(reader, writer, dims, precision, false, bound)
-        }))
-        .unwrap_or_else(|p| {
-            Err(SperrError::Panic {
-                stage: faultpoint::last_stage(),
-                chunk: None,
-                message: panic_payload_message(p.as_ref()),
-            })
         })
+        .and_then(|r| r)
     }
 
     /// Streaming compression through the f32-native pipeline: reads raw
@@ -548,7 +535,7 @@ impl Sperr {
         bound: Bound,
     ) -> Result<StreamReport, SperrError> {
         // Outer guard: see `compress_stream`.
-        catch_unwind(AssertUnwindSafe(|| {
+        guarded(None, || {
             self.compress_stream_inner::<f32, R, W>(
                 reader,
                 writer,
@@ -557,14 +544,8 @@ impl Sperr {
                 true,
                 bound,
             )
-        }))
-        .unwrap_or_else(|p| {
-            Err(SperrError::Panic {
-                stage: faultpoint::last_stage(),
-                chunk: None,
-                message: panic_payload_message(p.as_ref()),
-            })
         })
+        .and_then(|r| r)
     }
 
     fn compress_stream_inner<T: Float, R: Read, W: Write>(
@@ -576,45 +557,25 @@ impl Sperr {
         native_f32: bool,
         bound: Bound,
     ) -> Result<StreamReport, SperrError> {
-        let invalid = |msg: String| SperrError::Codec {
-            stage: STAGE_INGEST,
-            chunk: None,
-            source: CompressError::Invalid(msg),
-        };
+        let ingest_err = |source| SperrError::Codec { stage: STAGE_INGEST, chunk: None, source };
         if dims.iter().any(|&d| d == 0) {
-            return Err(invalid("empty field".into()));
+            return Err(ingest_err(CompressError::Invalid("empty field".into())));
         }
-        let (mode, bound_value) = match bound {
-            Bound::Pwe(t) => {
-                if !(t > 0.0) || !t.is_finite() {
-                    return Err(invalid(format!("invalid tolerance {t}")));
-                }
-                (Mode::Pwe, t)
-            }
-            Bound::Bpp(r) => {
-                if !(r > 0.0) || !r.is_finite() {
-                    return Err(invalid(format!("invalid bitrate {r}")));
-                }
-                (Mode::Bpp, r)
-            }
-            Bound::Psnr(_) => {
-                return Err(SperrError::Codec {
-                    stage: STAGE_INGEST,
-                    chunk: None,
-                    source: CompressError::Unsupported(
-                        "PSNR-bounded compression needs the full-volume data range; \
-                         unavailable in single-pass streaming",
-                    ),
-                });
-            }
-        };
+        if let Bound::Psnr(_) = bound {
+            return Err(ingest_err(CompressError::Unsupported(
+                "PSNR-bounded compression needs the full-volume data range; \
+                 unavailable in single-pass streaming",
+            )));
+        }
+        let (mode, bound_value) = parse_bound(bound).map_err(ingest_err)?;
+        let target = ChunkTarget { mode, bound_value, rmse_target: 0.0 };
         let total_points: usize = dims.iter().product();
         let _run = sperr_telemetry::span!("sperr.compress_stream", total_points);
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_COMPRESS_STREAM);
 
-        let cfg = self.config().clone();
-        let grid = chunk_grid(dims, cfg.chunk_dims);
-        let geo = LayerGeometry::new(dims, cfg.chunk_dims);
+        let chunk_dims = self.config().chunk_dims;
+        let grid = chunk_grid(dims, chunk_dims);
+        let geo = LayerGeometry::new(dims, chunk_dims);
         let n_chunks = grid.len();
         let threads = self.effective_threads(&grid);
         let budget = self.resolve_budget(threads, geo.layer_len());
@@ -622,25 +583,6 @@ impl Sperr {
 
         let mut rd = ScalarReader::<R, T>::new(reader, precision, dims[0]);
         let mut results: Vec<Option<ChunkEncoding>> = (0..n_chunks).map(|_| None).collect();
-        let encode_chunk = |data: &[T],
-                            spec: &ChunkSpec,
-                            pool: &WorkerPool,
-                            arena: &mut ScratchArena<T>|
-         -> ChunkEncoding {
-            match mode {
-                Mode::Pwe => compress_chunk_pwe_with(
-                    data, spec.dims, bound_value, cfg.q_factor, cfg.kernel, pool, arena,
-                ),
-                Mode::Bpp => {
-                    let bits = ((bound_value * spec.len() as f64) as usize)
-                        .saturating_sub(PER_CHUNK_HEADER_BITS);
-                    compress_chunk_bpp_with(data, spec.dims, bits, cfg.kernel, pool, arena)
-                }
-                // PSNR was rejected above; this arm cannot execute.
-                Mode::Rmse => unreachable!("PSNR mode rejected for streaming"),
-            }
-        };
-
         let peak_in_flight;
         if threads == 1 {
             // Serial driver: ingest a layer, encode its chunks inline,
@@ -651,12 +593,8 @@ impl Sperr {
                 peak: usize,
                 grid: &'a [ChunkSpec],
                 results: &'a mut [Option<ChunkEncoding>],
-                encode: &'a dyn Fn(
-                    &[T],
-                    &ChunkSpec,
-                    &WorkerPool,
-                    &mut ScratchArena<T>,
-                ) -> ChunkEncoding,
+                sperr: &'a Sperr,
+                target: ChunkTarget,
                 pool: &'a WorkerPool,
                 arena: ScratchArena<T>,
             }
@@ -671,26 +609,18 @@ impl Sperr {
                     Ok(self.free.pop().unwrap_or_default())
                 }
                 fn complete(&mut self, idx: usize, buf: Vec<T>) -> Result<(), SperrError> {
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        (self.encode)(&buf, &self.grid[idx], self.pool, &mut self.arena)
-                    }));
+                    let (spec, pool) = (&self.grid[idx], self.pool);
+                    let r = guarded(Some(idx), || {
+                        self.sperr.encode_chunk(&buf, spec, self.target, pool, &mut self.arena)
+                    });
                     self.in_flight -= 1;
                     sperr_telemetry::record_units(
                         metric_labels::STREAM_IN_FLIGHT,
                         self.in_flight as u64,
                     );
                     self.free.push(buf);
-                    match r {
-                        Ok(enc) => {
-                            self.results[idx] = Some(enc);
-                            Ok(())
-                        }
-                        Err(p) => Err(SperrError::Panic {
-                            stage: faultpoint::last_stage(),
-                            chunk: Some(idx),
-                            message: panic_payload_message(p.as_ref()),
-                        }),
-                    }
+                    self.results[idx] = Some(r?);
+                    Ok(())
                 }
             }
             let pool = WorkerPool::inline();
@@ -700,7 +630,8 @@ impl Sperr {
                 peak: 0,
                 grid: &grid,
                 results: &mut results,
-                encode: &encode_chunk,
+                sperr: self,
+                target,
                 pool: &pool,
                 arena: ScratchArena::new(),
             };
@@ -733,17 +664,11 @@ impl Sperr {
                     };
                     // SAFETY: one thread per worker slot (pool contract).
                     let arena = unsafe { arenas.get(w) };
-                    let r = catch_unwind(AssertUnwindSafe(|| {
-                        encode_chunk(&buf, &grid_ref[i], pool, arena)
-                    }));
-                    match r {
+                    let spec = &grid_ref[i];
+                    match guarded(Some(i), || self.encode_chunk(&buf, spec, target, pool, arena)) {
                         // SAFETY: each job writes exactly its own slot.
                         Ok(enc) => unsafe { results_ptr.put(i, enc) },
-                        Err(p) => shared_ref.cancel(SperrError::Panic {
-                            stage: faultpoint::last_stage(),
-                            chunk: Some(i),
-                            message: panic_payload_message(p.as_ref()),
-                        }),
+                        Err(e) => shared_ref.cancel(e),
                     }
                     // Return the buffer and unblock the producer.
                     let mut st = lock_ignore_poison(&shared_ref.state);
@@ -795,17 +720,10 @@ impl Sperr {
                         }
                     }
                     let mut sink = ParallelSink { shared: shared_ref };
-                    let body = catch_unwind(AssertUnwindSafe(|| {
-                        ingest_volume(&mut rd, &geo, grid_ref, &mut sink)
-                    }));
-                    match body {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => shared_ref.cancel(e),
-                        Err(p) => shared_ref.cancel(SperrError::Panic {
-                            stage: faultpoint::last_stage(),
-                            chunk: None,
-                            message: panic_payload_message(p.as_ref()),
-                        }),
+                    let body = guarded(None, || ingest_volume(&mut rd, &geo, grid_ref, &mut sink))
+                        .and_then(|r| r);
+                    if let Err(e) = body {
+                        shared_ref.cancel(e);
                     }
                 };
                 let run = pool.run_with_producer(n_chunks, producer, &worker);
@@ -843,46 +761,8 @@ impl Sperr {
                 }
             }
         }
-        let mut stats = CompressionStats {
-            num_points: total_points,
-            num_chunks: n_chunks,
-            ..CompressionStats::default()
-        };
-        for enc in &encoded {
-            stats.speck_bits += enc.speck_bits;
-            stats.outlier_bits += enc.outlier_bits;
-            stats.num_outliers += enc.num_outliers as usize;
-            stats.stage_times.accumulate(&enc.times);
-            stats.coeff_sq_error += enc.coeff_sq_error;
-        }
         faultpoint::stage(STAGE_CONTAINER);
-        let header = Header {
-            mode,
-            kernel: cfg.kernel,
-            precision,
-            native_f32,
-            dims,
-            chunk_dims: cfg.chunk_dims,
-            bound_value,
-            n_chunks,
-        };
-        let (container, container_time) = timed(stage_labels::CONTAINER_WRITE, || {
-            write_container(&header, &encoded, cfg.container_version)
-        });
-        stats.container_bytes = container.len();
-        stats.stage_times.container = container_time;
-        let mut out = Vec::with_capacity(container.len() + 1);
-        if cfg.lossless {
-            let (packed, lossless_time) =
-                timed(stage_labels::LOSSLESS_COMPRESS, || sperr_lossless::compress(&container));
-            out.push(OUTER_LOSSLESS);
-            out.extend_from_slice(&packed);
-            stats.stage_times.lossless = lossless_time;
-        } else {
-            out.push(OUTER_RAW);
-            out.extend_from_slice(&container);
-        }
-        stats.output_bytes = out.len();
+        let (out, stats) = self.finish_encode(target, dims, precision, native_f32, &encoded);
 
         faultpoint::stage(STAGE_EMIT);
         let mut wr = ScalarWriter::new(writer, precision);
@@ -937,16 +817,8 @@ impl Sperr {
         resilient: bool,
     ) -> Result<StreamResilientReport, SperrError> {
         // Outer guard: see `compress_stream`.
-        catch_unwind(AssertUnwindSafe(|| {
-            self.decompress_stream_inner(reader, writer, out_precision, resilient)
-        }))
-        .unwrap_or_else(|p| {
-            Err(SperrError::Panic {
-                stage: faultpoint::last_stage(),
-                chunk: None,
-                message: panic_payload_message(p.as_ref()),
-            })
-        })
+        guarded(None, || self.decompress_stream_inner(reader, writer, out_precision, resilient))
+            .and_then(|r| r)
     }
 
     fn decompress_stream_inner<R: Read, W: Write>(
@@ -965,129 +837,72 @@ impl Sperr {
         reader
             .read_to_end(&mut stream)
             .map_err(|e| SperrError::io(STAGE_INGEST, None, &e))?;
-        let bytes_in = stream.len() as u64;
         let _run = sperr_telemetry::span!("sperr.decompress_stream", stream.len());
         let _op = sperr_telemetry::OpTimer::new(metric_labels::OP_DECOMPRESS_STREAM);
 
-        let codec_err = |stage: &'static str, chunk: Option<usize>, source: CompressError| {
-            SperrError::Codec { stage, chunk, source }
-        };
         faultpoint::stage(STAGE_CONTAINER);
-        let (container, _) = Sperr::unwrap_outer(&stream)
-            .map_err(|e| codec_err(STAGE_CONTAINER, None, e))?;
-        let parsed =
-            read_container(&container).map_err(|e| codec_err(STAGE_CONTAINER, None, e))?;
+        let container_err =
+            |source| SperrError::Codec { stage: STAGE_CONTAINER, chunk: None, source };
+        let ps = ParsedStream::parse(&stream).map_err(container_err)?;
         if !resilient {
-            verify_chunk_crcs(&container, &parsed)
-                .map_err(|e| codec_err(STAGE_CONTAINER, None, e))?;
+            ps.check_crcs(0..ps.entries.len()).map_err(container_err)?;
         }
-        let header = parsed.header.clone();
-        let grid = chunk_grid(header.dims, header.chunk_dims);
-        if grid.len() != parsed.entries.len() {
-            return Err(codec_err(
-                STAGE_CONTAINER,
-                None,
-                CompressError::Corrupt("chunk table size mismatch".into()),
-            ));
+        let wr = ScalarWriter::new(writer, out_precision.unwrap_or(ps.header.precision));
+        // Chunks decode at the payload's native width; emission widens
+        // each row exactly (and narrows back losslessly for f32 output).
+        if ps.header.native_f32 {
+            self.decode_stream_chunks::<f32, W>(&ps, stream.len(), wr, resilient)
+        } else {
+            self.decode_stream_chunks::<f64, W>(&ps, stream.len(), wr, resilient)
         }
-        let offsets = chunk_offsets(&parsed.entries, parsed.payload_start);
-        let tolerance = match header.mode {
-            Mode::Pwe => header.bound_value,
-            Mode::Bpp | Mode::Rmse => 0.0,
-        };
+    }
+
+    /// The ordered-token decode scheduler behind both streaming decoders,
+    /// at the payload width `T`; `stream_len` is the compressed input size.
+    fn decode_stream_chunks<T: Float, W: Write>(
+        &self,
+        ps: &ParsedStream,
+        stream_len: usize,
+        mut wr: ScalarWriter<W>,
+        resilient: bool,
+    ) -> Result<StreamResilientReport, SperrError> {
+        let header = &ps.header;
+        let grid = &ps.grid;
         let geo = LayerGeometry::new(header.dims, header.chunk_dims);
         let n_chunks = grid.len();
-        let threads = self.effective_threads(&grid);
+        let threads = self.effective_threads(grid);
         let budget = self.resolve_budget(threads, geo.layer_len());
-        let kernel = header.kernel;
-        let native_f32 = header.native_f32;
         sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
 
         // Decodes chunk i, honoring resilient semantics: Ok(status) with
         // a data buffer (zero-filled on per-chunk failure), Err on a
-        // strict-mode failure.
+        // strict-mode failure (whose checksums were verified up front).
         let decode_chunk = |i: usize,
                             pool: &WorkerPool,
-                            arena: &mut ScratchArena|
-         -> Result<(Vec<f64>, ChunkStatus, StageTimes), SperrError> {
-            let e: &ChunkEntry = &parsed.entries[i];
-            let start = offsets[i];
-            let payload = &container[start..start + e.speck_len + e.outlier_len];
-            let spec = &grid[i];
-            if resilient {
-                if let Some(crcs) = &parsed.chunk_crcs {
-                    if crc32(payload) != crcs[i] {
-                        return Ok((
-                            vec![0.0; spec.len()],
-                            ChunkStatus::ChecksumMismatch,
-                            StageTimes::default(),
-                        ));
+                            arena: &mut ScratchArena<T>|
+         -> Result<(Vec<T>, ChunkStatus, StageTimes), SperrError> {
+            let full = Fidelity::Full;
+            match guarded(Some(i), || ps.decode_chunk(i, full, None, resilient, pool, arena))? {
+                Ok((data, times)) => Ok((data, ChunkStatus::Ok, times)),
+                Err(status) => {
+                    if !resilient {
+                        status.clone().into_result(i).map_err(|source| SperrError::Codec {
+                            stage: faultpoint::last_stage(),
+                            chunk: Some(i),
+                            source,
+                        })?;
                     }
+                    Ok((vec![T::ZERO; grid[i].len()], status, StageTimes::default()))
                 }
-            }
-            let (speck, outlier) = payload.split_at(e.speck_len);
-            let r = catch_unwind(AssertUnwindSafe(|| {
-                if native_f32 {
-                    // f32-native payload: decode at native width, widen
-                    // (exact) for the f64 emit path. Row emission narrows
-                    // back losslessly when the output precision is Single.
-                    let mut arena32 = ScratchArena::<f32>::new();
-                    decompress_chunk_with(
-                        speck,
-                        outlier,
-                        spec.dims,
-                        e.q,
-                        e.num_planes,
-                        e.max_n,
-                        tolerance,
-                        kernel,
-                        pool,
-                        &mut arena32,
-                    )
-                    .map(|(c, t)| (c.iter().map(|&v| v as f64).collect::<Vec<f64>>(), t))
-                } else {
-                    decompress_chunk_with(
-                        speck,
-                        outlier,
-                        spec.dims,
-                        e.q,
-                        e.num_planes,
-                        e.max_n,
-                        tolerance,
-                        kernel,
-                        pool,
-                        arena,
-                    )
-                }
-            }));
-            match r {
-                Ok(Ok((data, times))) => Ok((data, ChunkStatus::Ok, times)),
-                Ok(Err(ce)) => {
-                    if resilient {
-                        Ok((
-                            vec![0.0; spec.len()],
-                            ChunkStatus::DecodeFailed(ce),
-                            StageTimes::default(),
-                        ))
-                    } else {
-                        Err(codec_err(faultpoint::last_stage(), Some(i), ce))
-                    }
-                }
-                Err(p) => Err(SperrError::Panic {
-                    stage: faultpoint::last_stage(),
-                    chunk: Some(i),
-                    message: panic_payload_message(p.as_ref()),
-                }),
             }
         };
 
-        let mut wr = ScalarWriter::new(writer, out_precision.unwrap_or(header.precision));
         let mut statuses: Vec<ChunkStatus> = Vec::with_capacity(n_chunks);
         let mut stats = CompressionStats {
             num_points: header.dims.iter().product(),
             num_chunks: n_chunks,
-            container_bytes: container.len(),
-            output_bytes: stream.len(),
+            container_bytes: ps.container_len(),
+            output_bytes: stream_len,
             ..CompressionStats::default()
         };
         let mut row = vec![0.0f64; header.dims[0]];
@@ -1102,11 +917,11 @@ impl Sperr {
             // pool so a lone chunk still fans its wavelet/SPECK passes
             // out across workers (decode_chunk nests `pool.run`).
             peak_in_flight = WorkerPool::scoped(threads, |pool| {
-                let mut arena = ScratchArena::new();
+                let mut arena = ScratchArena::<T>::new();
                 let mut peak = 0usize;
                 for l in 0..geo.nz {
                     let base = l * geo.layer_len();
-                    let mut layer: Vec<Vec<f64>> = Vec::with_capacity(geo.layer_len());
+                    let mut layer: Vec<Vec<T>> = Vec::with_capacity(geo.layer_len());
                     for p in 0..geo.layer_len() {
                         let (data, status, times) = decode_chunk(base + p, pool, &mut arena)?;
                         stats.stage_times.accumulate(&times);
@@ -1118,7 +933,7 @@ impl Sperr {
                         metric_labels::STREAM_IN_FLIGHT,
                         layer.len() as u64,
                     );
-                    emit_layer(&mut wr, &geo, &grid, base, &layer, &mut row)?;
+                    emit_layer(&mut wr, &geo, grid, base, &layer, &mut row)?;
                 }
                 arena.record_footprint();
                 Ok::<usize, SperrError>(peak)
@@ -1131,10 +946,10 @@ impl Sperr {
             let wr_ref = &mut wr;
             let row_ref = &mut row;
             let geo_ref = &geo;
-            let grid_ref = &grid;
+            let grid_ref = grid;
             let decode_ref = &decode_chunk;
             let run = WorkerPool::scoped(threads, |pool| {
-                let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
+                let arenas = PerWorker::new(pool.threads(), ScratchArena::<T>::new);
                 let worker = |i: usize, w: usize| {
                     // Ordered token grant (see module docs).
                     {
@@ -1180,64 +995,56 @@ impl Sperr {
                     }
                 };
                 let emitter = || {
-                    let body = catch_unwind(AssertUnwindSafe(
-                        || -> Result<(), SperrError> {
-                            for l in 0..geo_ref.nz {
-                                let base = l * geo_ref.layer_len();
-                                let mut layer: Vec<Vec<f64>> =
-                                    Vec::with_capacity(geo_ref.layer_len());
-                                for p in 0..geo_ref.layer_len() {
-                                    let idx = base + p;
-                                    let chunk = {
-                                        let mut st = lock_ignore_poison(&shared_ref.state);
-                                        loop {
-                                            if let Some(e) = &st.error {
-                                                return Err(e.clone());
-                                            }
-                                            if let Some(c) = st.ready.remove(&idx) {
-                                                break c;
-                                            }
-                                            st = shared_ref
-                                                .caller_cv
-                                                .wait(st)
-                                                .unwrap_or_else(
-                                                    std::sync::PoisonError::into_inner,
-                                                );
+                    let body = guarded(None, || -> Result<(), SperrError> {
+                        for l in 0..geo_ref.nz {
+                            let base = l * geo_ref.layer_len();
+                            let mut layer: Vec<Vec<T>> =
+                                Vec::with_capacity(geo_ref.layer_len());
+                            for p in 0..geo_ref.layer_len() {
+                                let idx = base + p;
+                                let chunk = {
+                                    let mut st = lock_ignore_poison(&shared_ref.state);
+                                    loop {
+                                        if let Some(e) = &st.error {
+                                            return Err(e.clone());
                                         }
-                                    };
-                                    let ReadyChunk::Decoded { data, status, times } = chunk
-                                    else {
-                                        // Only decoded chunks enter the
-                                        // mailbox on this path.
-                                        continue;
-                                    };
-                                    stats_ref.stage_times.accumulate(&times);
-                                    statuses_ref.push(status);
-                                    layer.push(data);
-                                }
-                                emit_layer(wr_ref, geo_ref, grid_ref, base, &layer, row_ref)?;
-                                // Layer written: release its decode
-                                // tokens and wake token waiters.
-                                let mut st = lock_ignore_poison(&shared_ref.state);
-                                st.in_flight -= layer.len();
-                                sperr_telemetry::record_units(
-                                    metric_labels::STREAM_IN_FLIGHT,
-                                    st.in_flight as u64,
-                                );
-                                drop(st);
-                                shared_ref.worker_cv.notify_all();
+                                        if let Some(c) = st.ready.remove(&idx) {
+                                            break c;
+                                        }
+                                        st = shared_ref
+                                            .caller_cv
+                                            .wait(st)
+                                            .unwrap_or_else(
+                                                std::sync::PoisonError::into_inner,
+                                            );
+                                    }
+                                };
+                                let ReadyChunk::Decoded { data, status, times } = chunk
+                                else {
+                                    // Only decoded chunks enter the
+                                    // mailbox on this path.
+                                    continue;
+                                };
+                                stats_ref.stage_times.accumulate(&times);
+                                statuses_ref.push(status);
+                                layer.push(data);
                             }
-                            Ok(())
-                        },
-                    ));
-                    match body {
-                        Ok(Ok(())) => {}
-                        Ok(Err(e)) => shared_ref.cancel(e),
-                        Err(p) => shared_ref.cancel(SperrError::Panic {
-                            stage: faultpoint::last_stage(),
-                            chunk: None,
-                            message: panic_payload_message(p.as_ref()),
-                        }),
+                            emit_layer(wr_ref, geo_ref, grid_ref, base, &layer, row_ref)?;
+                            // Layer written: release its decode
+                            // tokens and wake token waiters.
+                            let mut st = lock_ignore_poison(&shared_ref.state);
+                            st.in_flight -= layer.len();
+                            sperr_telemetry::record_units(
+                                metric_labels::STREAM_IN_FLIGHT,
+                                st.in_flight as u64,
+                            );
+                            drop(st);
+                            shared_ref.worker_cv.notify_all();
+                        }
+                        Ok(())
+                    });
+                    if let Err(e) = body.and_then(|r| r) {
+                        shared_ref.cancel(e);
                     }
                 };
                 let run = pool.run_with_producer(n_chunks, emitter, &worker);
@@ -1263,7 +1070,7 @@ impl Sperr {
         wr.flush()?;
         Ok(StreamResilientReport {
             report: StreamReport {
-                bytes_in,
+                bytes_in: stream_len as u64,
                 bytes_out: wr.bytes_out,
                 n_chunks,
                 in_flight_budget: budget,
@@ -1275,14 +1082,24 @@ impl Sperr {
     }
 }
 
+/// Runs `f`, turning a panic into a typed [`SperrError::Panic`] carrying
+/// `chunk` and the last stage the thread entered.
+fn guarded<R>(chunk: Option<usize>, f: impl FnOnce() -> R) -> Result<R, SperrError> {
+    catch_unwind(AssertUnwindSafe(f)).map_err(|p| SperrError::Panic {
+        stage: faultpoint::last_stage(),
+        chunk,
+        message: panic_payload_message(p.as_ref()),
+    })
+}
+
 /// Writes one chunk layer's z-planes to the writer, interleaving the
 /// per-chunk buffers back into x-fastest volume rows.
-fn emit_layer<W: Write>(
+fn emit_layer<T: Float, W: Write>(
     wr: &mut ScalarWriter<W>,
     geo: &LayerGeometry,
     grid: &[ChunkSpec],
     base: usize,
-    layer: &[Vec<f64>],
+    layer: &[Vec<T>],
     row: &mut [f64],
 ) -> Result<(), SperrError> {
     let l = base / geo.layer_len();
@@ -1298,7 +1115,9 @@ fn emit_layer<W: Write>(
                 let ly = y - spec.offset[1];
                 let cdx = spec.dims[0];
                 let src = &layer[p][cdx * (ly + spec.dims[1] * lz)..][..cdx];
-                row[spec.offset[0]..spec.offset[0] + cdx].copy_from_slice(src);
+                for (d, &v) in row[spec.offset[0]..spec.offset[0] + cdx].iter_mut().zip(src) {
+                    *d = v.to_f64();
+                }
             }
             wr.write_row(row)?;
         }
@@ -1546,29 +1365,6 @@ mod tests {
         assert_eq!(res.statuses, ref_report.statuses);
         assert!(!res.all_ok());
         assert_eq!(out, raw_bytes(&ref_field, ref_field.precision));
-    }
-
-    #[test]
-    fn injected_worker_panic_cancels_with_stage_and_message() {
-        let dims = [16usize, 16, 64];
-        let field = wavy(dims);
-        let raw = raw_bytes(&field, Precision::Double);
-        for threads in [1usize, 4] {
-            faultpoint::arm(stage_labels::SPECK_ENCODE, 1);
-            let sperr = Sperr::new(cfg(threads));
-            let mut out = Vec::new();
-            let err = sperr
-                .compress_stream(&raw[..], &mut out, dims, Precision::Double, Bound::Pwe(1e-3))
-                .unwrap_err();
-            faultpoint::disarm();
-            match err {
-                SperrError::Panic { stage, message, .. } => {
-                    assert_eq!(stage, stage_labels::SPECK_ENCODE, "threads={threads}");
-                    assert!(message.contains("injected fault"), "{message}");
-                }
-                other => panic!("expected Panic, got {other:?}"),
-            }
-        }
     }
 
     #[test]

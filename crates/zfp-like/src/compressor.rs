@@ -348,6 +348,18 @@ impl LossyCompressor for ZfpLike {
             slab_data.push(r.get_bytes(len)?);
         }
         let slab_bounds = split_ranges(grid[2], n_slabs);
+        // Every 4³ block costs at least its 1-bit nonzero flag, so a slab
+        // declaring more blocks than it has bits is truncated — refuse it
+        // before sizing the slab buffer from the (untrusted) dims.
+        for (&(z0, z1), bytes) in slab_bounds.iter().zip(&slab_data) {
+            let blocks = (z1 - z0) as u64 * grid[1] as u64 * grid[0] as u64;
+            if blocks > 8 * bytes.len() as u64 {
+                return Err(CompressError::Truncated(format!(
+                    "slab declares {blocks} blocks but holds {} bytes",
+                    bytes.len()
+                )));
+            }
+        }
         let perm = sequency_permutation();
 
         let results: Vec<Result<(usize, usize, Vec<f64>), CompressError>> =

@@ -10,7 +10,8 @@ echo "==> cargo build --workspace --release"
 cargo build --workspace --release
 
 echo "==> cargo test --workspace"
-cargo test --workspace --quiet
+# --no-fail-fast: one aborting test target must not hide the rest.
+cargo test --workspace --quiet --no-fail-fast
 
 echo "==> decoder panic audit"
 cargo test --quiet --test panic_audit
@@ -24,7 +25,7 @@ echo "==> force-scalar matrix: build + full test suite on the scalar twins"
 # kernel proptests, which run at both f32 and f64 so the scalar twins
 # cover the f32-native path too).
 cargo build --workspace --release --features sperr-simd/force-scalar
-cargo test --workspace --quiet --features sperr-simd/force-scalar
+cargo test --workspace --quiet --no-fail-fast --features sperr-simd/force-scalar
 
 echo "==> cross-target check: aarch64 (NEON lane widths)"
 # Type-check the workspace for a 128-bit-SIMD target so a portability

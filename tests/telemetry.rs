@@ -193,6 +193,37 @@ fn metrics_snapshot_covers_ops_stages_and_memory() {
 }
 
 #[test]
+fn streaming_compress_records_size_histograms() {
+    // Both compress drivers share one encode tail, so a streaming run
+    // records the same size distributions as an in-memory one.
+    let _guard = session_lock();
+    let dims = [32usize, 32, 16];
+    let field = sperr_datagen::SyntheticField::MirandaPressure.generate(dims, 5);
+    let raw: Vec<u8> = field.data.iter().flat_map(|v| v.to_le_bytes()).collect();
+    let sperr = Sperr::new(SperrConfig {
+        chunk_dims: [16, 16, 16],
+        num_threads: 2,
+        ..SperrConfig::default()
+    });
+    let bound = Bound::Pwe(field.range() * 1e-4);
+    sperr_telemetry::start();
+    let mut stream = Vec::new();
+    let report = sperr
+        .compress_stream(&raw[..], &mut stream, dims, sperr_compress_api::Precision::Double, bound)
+        .unwrap();
+    sperr_telemetry::stop();
+
+    let snap = sperr_telemetry::MetricsRegistry::global().snapshot();
+    use sperr_core::metric_labels as m;
+    let output = snap.get(m::SIZE_OUTPUT).expect("streaming compress recorded no size.output");
+    assert_eq!(output.hist.count, 1);
+    assert_eq!(output.hist.sum, stream.len() as u64);
+    let speck = snap.get(m::SIZE_CHUNK_SPECK).expect("no size.chunk.speck samples");
+    assert_eq!(speck.hist.count, report.n_chunks as u64);
+    assert_eq!(speck.hist.sum, sperr.inspect(&stream).unwrap().speck_bytes as u64);
+}
+
+#[test]
 fn trace_covers_all_stages_and_worker_tracks() {
     let _guard = session_lock();
     let dims = [32usize, 32, 32];

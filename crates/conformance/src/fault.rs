@@ -21,7 +21,7 @@
 //!   deadlock.
 //!
 //! Run as `sperr-conformance faults [N]`; a watchdog aborts the process
-//! (exit 99) if the campaign wedges, so a back-pressure deadlock fails CI
+//! (exit 99) if the campaign wedges, so a deadlock fails CI
 //! loudly instead of timing out the whole job.
 
 use std::io::{ErrorKind, Read, Write};
@@ -157,7 +157,7 @@ impl Write for FaultyWriter {
 // ---------------------------------------------------------------------
 
 /// Aborts the process if the campaign has not finished within the
-/// deadline — a hang (e.g. a back-pressure deadlock) must fail CI
+/// deadline — a hang (e.g. a pool deadlock) must fail CI
 /// loudly, not eat the job's timeout.
 struct Watchdog {
     done: Arc<AtomicBool>,
@@ -214,7 +214,7 @@ impl Drop for QuietPanics {
 // ---------------------------------------------------------------------
 
 /// Test volume: non-divisible dims so boundary chunks exist on every
-/// axis, several z-layers so back-pressure actually engages.
+/// axis, several z-layers so the stream spans several windows.
 fn campaign_field() -> Field {
     Field::from_fn([20, 12, 24], |x, y, z| {
         (x as f64 * 0.31).sin() * 40.0

@@ -43,11 +43,11 @@ pub struct SperrConfig {
     pub num_threads: usize,
     /// Bound on the number of raw chunk buffers the streaming pipeline
     /// ([`Sperr::compress_stream`] / [`Sperr::decompress_stream`]) keeps
-    /// in flight at once; back-pressure blocks the ingest/emit side when
-    /// the budget is exhausted. 0 = auto (2 × worker threads). The
-    /// effective budget is never below the number of chunks in one
-    /// z-layer of the chunk grid — a row-major stream cannot complete any
-    /// chunk of a layer without buffering the whole layer.
+    /// in flight at once: it walks the volume in windows of whole chunk
+    /// z-layers holding at most this many chunks. 0 = auto (2 × worker
+    /// threads). The effective budget is never below the number of chunks
+    /// in one z-layer of the chunk grid — a row-major stream cannot
+    /// complete any chunk of a layer without buffering the whole layer.
     pub in_flight_chunks: usize,
     /// Container format version to write: 3 (default; carries the chunk
     /// index that makes [`Sperr::decode_region`] seek instead of scan) or
@@ -623,7 +623,7 @@ fn bpp_budgets(grid: &[ChunkSpec], bpp: f64) -> Vec<usize> {
 }
 
 /// Decode-side statistics: stream geometry plus parse and chunk times.
-fn decode_stats(
+pub(crate) fn decode_stats(
     ps: &ParsedStream,
     stream_len: usize,
     chunk_times: &StageTimes,

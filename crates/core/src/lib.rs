@@ -85,7 +85,7 @@ pub use pipeline::{
     compress_chunk_bpp, compress_chunk_bpp_with, compress_chunk_pwe, compress_chunk_pwe_with,
     compress_chunk_rmse, compress_chunk_rmse_with, decompress_chunk, ChunkEncoding, ScratchArena,
 };
-pub use pool::{JobPanic, WorkerPool};
+pub use pool::WorkerPool;
 /// The sample-width abstraction the generic pipeline is written against,
 /// re-exported so downstream crates need not depend on `sperr-simd`.
 pub use sperr_simd::Float;

@@ -59,24 +59,6 @@ pub(crate) fn panic_payload_message(payload: &(dyn std::any::Any + Send)) -> Str
     }
 }
 
-/// A worker job panicked during [`WorkerPool::try_run`] /
-/// [`WorkerPool::run_with_producer`]. Carries the first captured panic
-/// message so callers can surface *what* failed instead of a generic
-/// marker.
-#[derive(Debug, Clone, PartialEq, Eq)]
-pub struct JobPanic {
-    /// Message of the first panic observed in the batch.
-    pub message: String,
-}
-
-impl std::fmt::Display for JobPanic {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        write!(f, "worker-pool job panicked: {}", self.message)
-    }
-}
-
-impl std::error::Error for JobPanic {}
-
 /// Per-batch counters. Heap-allocated and kept alive by `Arc` strong
 /// references — `run`'s own plus one per worker holding a copy of the
 /// batch — so a straggler that grabs the batch from the shared slot just
@@ -182,59 +164,24 @@ impl WorkerPool {
     /// caller after the batch drains — with the first captured panic
     /// message — and the pool stays usable.
     pub fn run(&self, n: usize, f: &(dyn Fn(usize, usize) + Sync)) {
-        if let Err(p) = self.try_run(n, f) {
-            panic!("worker-pool job panicked: {}", p.message);
-        }
-    }
-
-    /// Non-panicking variant of [`run`](Self::run): a panic in any job is
-    /// caught, the batch still drains fully, and the first captured panic
-    /// message is returned as [`JobPanic`]. The streaming pipeline uses
-    /// this so a worker panic becomes a typed error instead of an unwind.
-    pub fn try_run(&self, n: usize, f: &(dyn Fn(usize, usize) + Sync)) -> Result<(), JobPanic> {
-        self.run_with_producer(n, || {}, f)
-    }
-
-    /// Runs a batch like [`try_run`](Self::try_run), but executes
-    /// `producer` on the caller thread *after* publishing the batch and
-    /// *before* the caller joins in as worker slot 0. Spawned workers
-    /// start claiming jobs as soon as the batch is published, so the
-    /// producer overlaps with them — this is the seam the streaming
-    /// pipeline uses: the producer feeds a bounded queue (ingest) while
-    /// replicated stage workers drain it.
-    ///
-    /// A panic in `producer` is caught so the published batch is never
-    /// orphaned: the caller still joins the batch, drains it, and the
-    /// producer's panic message is returned (taking precedence over any
-    /// job panic, since cancellation noise usually follows the root
-    /// cause).
-    pub fn run_with_producer(
-        &self,
-        n: usize,
-        producer: impl FnOnce(),
-        f: &(dyn Fn(usize, usize) + Sync),
-    ) -> Result<(), JobPanic> {
         if n == 0 {
-            producer();
-            return Ok(());
+            return;
         }
         // Inside a pool job: inline on the current slot (no oversubscription,
         // no deadlock on the single batch slot).
         if let Some(slot) = CURRENT_SLOT.with(|c| c.get()) {
-            producer();
             for i in 0..n {
                 f(i, slot);
             }
-            return Ok(());
+            return;
         }
         // Trivial batches run on the caller as slot 0 *without* entering
         // job context, so deeper batches can still go parallel.
         if self.threads == 1 || n == 1 {
-            producer();
             for i in 0..n {
                 f(i, 0);
             }
-            return Ok(());
+            return;
         }
 
         let state = Arc::new(BatchState {
@@ -274,14 +221,6 @@ impl WorkerPool {
         }
         self.shared.work.notify_all();
 
-        // Run the producer while workers chew on the batch. Catch its
-        // unwind: the batch is already published, so bailing out here
-        // would leave the slot occupied forever and deadlock the next
-        // caller. The batch must drain regardless.
-        let producer_panic = catch_unwind(AssertUnwindSafe(producer))
-            .err()
-            .map(|p| panic_payload_message(p.as_ref()));
-
         // The caller participates as worker 0.
         execute_batch(&batch, 0);
 
@@ -301,16 +240,12 @@ impl WorkerPool {
             st.batch = None;
         }
         self.shared.done.notify_all();
-        if let Some(message) = producer_panic {
-            return Err(JobPanic { message });
-        }
         if state.panicked.load(Ordering::Acquire) {
             let message = lock_ignore_poison(&state.panic_msg)
                 .take()
                 .unwrap_or_else(|| "non-string panic payload".to_string());
-            return Err(JobPanic { message });
+            panic!("worker-pool job panicked: {message}");
         }
-        Ok(())
     }
 
     /// Ordered parallel map: `f(job, worker)` for `job in 0..n`, results
@@ -653,82 +588,17 @@ mod tests {
     }
 
     #[test]
-    fn try_run_returns_first_panic_message() {
-        WorkerPool::scoped(4, |pool| {
-            let err = pool
-                .try_run(16, &|i, _| {
-                    if i == 5 {
-                        panic!("stage exploded on job {i}");
-                    }
-                })
-                .unwrap_err();
-            assert!(
-                err.message.contains("stage exploded"),
-                "lost payload: {:?}",
-                err.message
-            );
-            // Pool is reusable; a clean batch succeeds.
-            assert!(pool.try_run(8, &|_, _| {}).is_ok());
-        });
-    }
-
-    #[test]
-    fn try_run_non_string_payload_gets_placeholder() {
+    fn non_string_payload_gets_placeholder() {
         WorkerPool::scoped(2, |pool| {
-            let err = pool
-                .try_run(4, &|i, _| {
+            let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                pool.run(4, &|i, _| {
                     if i == 1 {
                         std::panic::panic_any(42u32);
                     }
-                })
-                .unwrap_err();
-            assert_eq!(err.message, "non-string panic payload");
-        });
-    }
-
-    #[test]
-    fn run_with_producer_overlaps_and_survives_job_panic() {
-        WorkerPool::scoped(4, |pool| {
-            let produced = AtomicBool::new(false);
-            let ran = AtomicUsize::new(0);
-            let err = pool
-                .run_with_producer(
-                    8,
-                    || produced.store(true, Ordering::SeqCst),
-                    &|i, _| {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                        if i == 3 {
-                            panic!("mid-stream boom");
-                        }
-                    },
-                )
-                .unwrap_err();
-            assert!(produced.load(Ordering::SeqCst));
-            assert_eq!(ran.load(Ordering::SeqCst), 8, "batch did not drain");
-            assert!(err.message.contains("mid-stream boom"));
-        });
-    }
-
-    #[test]
-    fn run_with_producer_panicking_producer_does_not_orphan_batch() {
-        // The batch is published before the producer runs; a producer
-        // panic must not leave the batch slot occupied (which would
-        // deadlock the next caller) and its message must win.
-        WorkerPool::scoped(4, |pool| {
-            let ran = AtomicUsize::new(0);
-            let err = pool
-                .run_with_producer(
-                    8,
-                    || panic!("producer boom"),
-                    &|_, _| {
-                        ran.fetch_add(1, Ordering::SeqCst);
-                    },
-                )
-                .unwrap_err();
-            assert_eq!(ran.load(Ordering::SeqCst), 8);
-            assert!(err.message.contains("producer boom"));
-            // Next batch proceeds — the slot was freed.
-            assert_eq!(pool.map(4, |i, _| i), vec![0, 1, 2, 3]);
+                });
+            }));
+            let msg = *result.unwrap_err().downcast::<String>().unwrap();
+            assert_eq!(msg, "worker-pool job panicked: non-string panic payload");
         });
     }
 
@@ -739,12 +609,15 @@ mod tests {
         // batches after a panic don't cascade into PoisonError unwraps.
         WorkerPool::scoped(4, |pool| {
             for round in 0..10 {
-                let r = pool.try_run(8, &|i, _| {
-                    if i == 2 {
-                        panic!("round {round} boom");
-                    }
-                });
-                assert!(r.unwrap_err().message.contains("boom"));
+                let result = std::panic::catch_unwind(AssertUnwindSafe(|| {
+                    pool.run(8, &|i, _| {
+                        if i == 2 {
+                            panic!("round {round} boom");
+                        }
+                    });
+                }));
+                let msg = *result.unwrap_err().downcast::<String>().unwrap();
+                assert!(msg.contains("boom"), "{msg}");
                 assert_eq!(pool.map(3, |i, _| i * 10), vec![0, 10, 20]);
             }
         });

@@ -82,8 +82,8 @@ pub mod metric_labels {
     /// Scratch-arena bytes per worker on the f32-native path.
     pub const MEM_ARENA_F32: &str = "mem.arena.f32";
 
-    /// Streaming pipeline in-flight chunk occupancy, sampled at every
-    /// admit/retire transition; max is the observed peak.
+    /// Streaming pipeline in-flight chunk occupancy, sampled once per
+    /// window (its chunk count); max is the observed peak.
     pub const STREAM_IN_FLIGHT: &str = "stream.in_flight_chunks";
     /// Streaming pipeline configured in-flight budget (constant gauge).
     pub const STREAM_IN_FLIGHT_BUDGET: &str = "stream.in_flight_budget";

@@ -1,45 +1,28 @@
-//! Staged streaming pipeline: bounded-memory compress/decompress over
-//! `Read`/`Write` endpoints.
+//! Streaming compress/decompress over `Read`/`Write` endpoints with
+//! bounded raw-side memory.
 //!
 //! The non-streaming API ([`Sperr::compress`]) holds the whole volume in
-//! RAM. This module drives the same per-chunk pipeline — ingest →
-//! wavelet → SPECK → outlier → lossless → ordered container emit —
-//! incrementally: the producer (caller thread) reads raw scalars row by
-//! row and assembles chunk buffers, replicated middle stages encode or
-//! decode chunks on the [`WorkerPool`], and an in-flight budget enforces
-//! back-pressure so peak raw-data memory is `O(in_flight × chunk)`
-//! instead of `O(volume)`. (Compressed chunk payloads still accumulate
-//! until the container header — which precedes them — can be written, so
-//! total memory is `O(in_flight × chunk + compressed_output)`.)
-//!
-//! # Back-pressure protocol
-//!
-//! One mutex-guarded [`PipeState`] plus two condvars per direction:
-//!
-//! * compress: the producer blocks acquiring a chunk buffer while
-//!   `in_flight ≥ budget`; workers wake it when they return a buffer.
-//!   Workers block waiting for *their* chunk index to appear in the
-//!   ready mailbox; the producer wakes them as chunks complete.
-//! * decompress: workers block acquiring a decode token (granted in
-//!   strict chunk-index order — see below); the emitter wakes them after
-//!   writing out a layer. The emitter blocks waiting for the decoded
-//!   chunks of the current layer.
-//!
-//! Decode tokens are granted in ascending chunk order: the pool's job
-//! counter hands indices out in order, but lock-acquisition races could
-//! otherwise let later chunks hog the whole budget while the emitter
-//! waits on an earlier layer — a deadlock. With ordered grants the
-//! lowest un-emitted layer always makes progress.
+//! RAM. This module runs the same per-chunk pipeline over a row-major
+//! stream one *window* at a time: a run of whole chunk z-layers holding
+//! at most the in-flight budget of chunks (one layer at least — a
+//! row-major stream cannot complete any chunk before its whole z-layer
+//! has passed). Compressing, the caller thread reads a window's rows into
+//! its chunk buffers, then [`Sperr::map_chunks`] — the pooled loop every
+//! in-memory read and write runs on — encodes the window's chunks;
+//! decompressing, `map_chunks` decodes a window at the payload's native
+//! width and the caller writes its rows out. Peak raw-data memory is
+//! `O(budget × chunk)` instead of `O(volume)`. (Compressed chunk payloads
+//! still accumulate until the container header — which precedes them —
+//! can be written, so total memory is `O(budget × chunk +
+//! compressed_output)`.)
 //!
 //! # Cancellation semantics
 //!
-//! The first failure — reader/writer error, decode error (strict mode) or
-//! a caught worker panic — stores a typed [`SperrError`] in the shared
-//! state and broadcasts both condvars. Every wait loop re-checks the
-//! error and bails; chunks already being encoded/decoded run to
-//! completion (draining, not aborting, keeps buffer accounting exact);
-//! the producer stops at the next row boundary. The pool batch always
-//! drains fully, so no worker is left blocked and the pool stays usable.
+//! Every chunk job runs under `catch_unwind`, so a window always drains
+//! and leaves the pool reusable; then the first error in chunk order wins
+//! and the run returns it. A reader or writer error stops the run at the
+//! row that failed. An outer guard on the caller thread turns any other
+//! panic into a typed error: nothing unwinds out of the public API.
 //!
 //! # Fault taxonomy
 //!
@@ -53,21 +36,20 @@
 //!   panic message and the last stage label the panicking thread
 //!   entered. Never escapes as an unwind.
 
-use std::collections::HashMap;
 use std::io::{Read, Write};
+use std::ops::Range;
 use std::panic::{catch_unwind, AssertUnwindSafe};
-use std::sync::{Condvar, Mutex};
 
 use crate::chunk::{chunk_grid, ChunkSpec};
-use crate::compressor::{parse_bound, ChunkTarget, Sperr};
+use crate::compressor::{decode_stats, parse_bound, ChunkTarget, Sperr};
 use crate::engine::{Fidelity, ParsedStream};
 use crate::faultpoint;
-use crate::pipeline::{ChunkEncoding, ScratchArena};
-use crate::pool::{lock_ignore_poison, panic_payload_message, PerWorker, WorkerPool};
-use crate::stats::{metric_labels, CompressionStats, StageTimes};
+use crate::pool::panic_payload_message;
+use crate::stats::{metric_labels, stage_labels, CompressionStats, StageTimes};
 use crate::ChunkStatus;
 use sperr_compress_api::{Bound, CompressError, Precision};
 use sperr_simd::Float;
+use sperr_telemetry::timed;
 
 /// Stage labels specific to the streaming pipeline (the per-chunk codec
 /// stages reuse [`stage_labels`]).
@@ -193,43 +175,49 @@ impl StreamResilientReport {
     }
 }
 
-/// Geometry of the chunk grid as seen by the streaming drivers: chunks
+/// Geometry of the chunk grid as seen by the streaming loops: chunks
 /// arrive (and leave) in z-layers because the raw volume is streamed in
-/// x-fastest row-major order.
+/// x-fastest row-major order, so the loops walk windows of whole layers.
 struct LayerGeometry {
     dims: [usize; 3],
     chunk_dims: [usize; 3],
-    /// Chunk-grid extent per axis.
+    /// Chunks along x.
     nx: usize,
-    ny: usize,
-    nz: usize,
+    /// Chunks per z-layer.
+    layer_len: usize,
+    n_chunks: usize,
 }
 
 impl LayerGeometry {
     fn new(dims: [usize; 3], chunk_dims: [usize; 3]) -> Self {
+        let n: [usize; 3] = std::array::from_fn(|d| dims[d].div_ceil(chunk_dims[d]));
         LayerGeometry {
             dims,
             chunk_dims,
-            nx: dims[0].div_ceil(chunk_dims[0]),
-            ny: dims[1].div_ceil(chunk_dims[1]),
-            nz: dims[2].div_ceil(chunk_dims[2]),
+            nx: n[0],
+            layer_len: n[0] * n[1],
+            n_chunks: n[0] * n[1] * n[2],
         }
     }
 
-    /// Chunks per z-layer.
-    fn layer_len(&self) -> usize {
-        self.nx * self.ny
+    /// Chunk-index windows of whole z-layers, each holding at most
+    /// `budget` chunks (one layer at least).
+    fn windows(&self, budget: usize) -> impl Iterator<Item = Range<usize>> {
+        let (len, n) = ((budget / self.layer_len).max(1) * self.layer_len, self.n_chunks);
+        (0..n).step_by(len).map(move |lo| lo..(lo + len).min(n))
     }
 
-    /// Inclusive-exclusive z range of layer `l`.
-    fn z_range(&self, l: usize) -> (usize, usize) {
-        let z0 = l * self.chunk_dims[2];
-        (z0, (z0 + self.chunk_dims[2]).min(self.dims[2]))
+    /// The volume z-planes window `w` covers.
+    fn z_range(&self, w: &Range<usize>) -> Range<usize> {
+        let z = |i: usize| (i / self.layer_len * self.chunk_dims[2]).min(self.dims[2]);
+        z(w.start)..z(w.end)
     }
 
-    /// Last volume-y covered by chunk row `cy`.
-    fn last_y(&self, cy: usize) -> usize {
-        ((cy + 1) * self.chunk_dims[1]).min(self.dims[1]) - 1
+    /// Window-relative indices of the `nx` chunks that volume row `y` of
+    /// the window's `dz`-th z-plane crosses, in x order.
+    fn row_chunks(&self, y: usize, dz: usize) -> Range<usize> {
+        let first = dz / self.chunk_dims[2] * self.layer_len + y / self.chunk_dims[1] * self.nx;
+        first..first + self.nx
     }
 }
 
@@ -336,163 +324,69 @@ impl<W: Write> ScalarWriter<W> {
     }
 }
 
-/// Sink for the ingest loop: hands out chunk buffers and receives them
-/// back filled. The serial driver encodes inline; the parallel driver's
-/// sink is the back-pressured handoff to the worker stages.
-trait ChunkSink<T> {
-    fn acquire(&mut self, idx: usize) -> Result<Vec<T>, SperrError>;
-    fn complete(&mut self, idx: usize, buf: Vec<T>) -> Result<(), SperrError>;
-}
-
-/// Streams the raw volume row by row, assembling each chunk's x-fastest
-/// buffer in exactly the order `extract_chunk_into` would, and handing
-/// completed chunks to the sink. Chunks complete as early as possible
-/// (during the layer's last z-plane, per chunk row) so downstream stages
-/// overlap with ingest.
-fn ingest_volume<R: Read, T: Float>(
+/// Reads window `w`'s rows, scattering each into the x-fastest buffers
+/// of the chunks it crosses — in exactly the order `extract_chunk_into`
+/// fills them.
+fn ingest_window<R: Read, T: Float>(
     rd: &mut ScalarReader<R, T>,
     geo: &LayerGeometry,
-    grid: &[ChunkSpec],
-    sink: &mut dyn ChunkSink<T>,
+    w: &Range<usize>,
+    specs: &[ChunkSpec],
+    bufs: &mut [Vec<T>],
 ) -> Result<(), SperrError> {
-    let layer_len = geo.layer_len();
-    for l in 0..geo.nz {
-        let (z0, z1) = geo.z_range(l);
-        let base = l * layer_len;
-        let mut bufs: Vec<Option<Vec<T>>> = Vec::with_capacity(layer_len);
-        for p in 0..layer_len {
-            let idx = base + p;
-            let mut b = sink.acquire(idx)?;
-            b.clear();
-            b.reserve(grid[idx].len());
-            bufs.push(Some(b));
-        }
-        for z in z0..z1 {
-            faultpoint::stage(STAGE_INGEST);
-            for y in 0..geo.dims[1] {
-                let row = rd.read_row()?;
-                let cy = y / geo.chunk_dims[1];
-                for cx in 0..geo.nx {
-                    let p = cy * geo.nx + cx;
-                    let spec = &grid[base + p];
-                    let ox = spec.offset[0];
-                    if let Some(buf) = bufs[p].as_mut() {
-                        buf.extend_from_slice(&row[ox..ox + spec.dims[0]]);
-                    }
-                }
-                // Chunk row (cy, all cx) completes on its last (y, z).
-                if z + 1 == z1 && y == geo.last_y(cy) {
-                    for cx in 0..geo.nx {
-                        let p = cy * geo.nx + cx;
-                        if let Some(buf) = bufs[p].take() {
-                            sink.complete(base + p, buf)?;
-                        }
-                    }
-                }
+    for dz in 0..geo.z_range(w).len() {
+        faultpoint::stage(STAGE_INGEST);
+        for y in 0..geo.dims[1] {
+            let row = rd.read_row()?;
+            let cs = geo.row_chunks(y, dz);
+            for (spec, buf) in specs[cs.clone()].iter().zip(&mut bufs[cs]) {
+                buf.extend_from_slice(&row[spec.offset[0]..][..spec.dims[0]]);
             }
         }
     }
     Ok(())
 }
 
-/// Shared state of one parallel streaming run. Generic over the sample
-/// width of the chunk buffers: the raw input width when compressing, the
-/// payload's native width when decompressing (rows widen at emit).
-struct PipeState<T> {
-    /// Completed chunk buffers awaiting their worker (compress) or the
-    /// emitter (decompress): index → payload.
-    ready: HashMap<usize, ReadyChunk<T>>,
-    /// Returned raw buffers for reuse (compress only).
-    free: Vec<Vec<T>>,
-    /// Buffers/tokens currently in flight.
-    in_flight: usize,
-    /// High-water mark of `in_flight`.
-    peak: usize,
-    /// Next chunk index allowed to take a decode token (decompress);
-    /// tokens are granted in ascending order to keep the lowest
-    /// un-emitted layer progressing.
-    next_token: usize,
-    /// First failure; set once, checked by every wait loop.
-    error: Option<SperrError>,
-}
-
-enum ReadyChunk<T> {
-    Raw(Vec<T>),
-    Decoded { data: Vec<T>, status: ChunkStatus, times: StageTimes },
-}
-
-struct PipeShared<T> {
-    state: Mutex<PipeState<T>>,
-    /// Wakes the producer/emitter side.
-    caller_cv: Condvar,
-    /// Wakes worker-side waits.
-    worker_cv: Condvar,
-    budget: usize,
-}
-
-impl<T> PipeShared<T> {
-    fn new(budget: usize) -> Self {
-        PipeShared {
-            state: Mutex::new(PipeState {
-                ready: HashMap::new(),
-                free: Vec::new(),
-                in_flight: 0,
-                peak: 0,
-                next_token: 0,
-                error: None,
-            }),
-            caller_cv: Condvar::new(),
-            worker_cv: Condvar::new(),
-            budget,
+/// Writes window `w`'s rows, gathering each from the decoded buffers of
+/// the chunks it crosses.
+fn emit_window<T: Float, W: Write>(
+    wr: &mut ScalarWriter<W>,
+    geo: &LayerGeometry,
+    w: &Range<usize>,
+    specs: &[ChunkSpec],
+    chunks: &[Vec<T>],
+    row: &mut [f64],
+) -> Result<(), SperrError> {
+    for (dz, z) in geo.z_range(w).enumerate() {
+        faultpoint::stage(STAGE_EMIT);
+        for y in 0..geo.dims[1] {
+            let cs = geo.row_chunks(y, dz);
+            for (spec, chunk) in specs[cs.clone()].iter().zip(&chunks[cs]) {
+                let (cdx, ly, lz) = (spec.dims[0], y - spec.offset[1], z - spec.offset[2]);
+                let src = &chunk[cdx * (ly + spec.dims[1] * lz)..][..cdx];
+                for (d, &v) in row[spec.offset[0]..][..cdx].iter_mut().zip(src) {
+                    *d = v.to_f64();
+                }
+            }
+            wr.write_row(row)?;
         }
     }
-
-    /// Records the first error and wakes every waiter on both sides.
-    fn cancel(&self, err: SperrError) {
-        let mut st = lock_ignore_poison(&self.state);
-        if st.error.is_none() {
-            st.error = Some(err);
-        }
-        drop(st);
-        self.caller_cv.notify_all();
-        self.worker_cv.notify_all();
-    }
-
-    fn take_error(&self) -> Option<SperrError> {
-        lock_ignore_poison(&self.state).error.take()
-    }
-
-    fn peak_in_flight(&self) -> usize {
-        lock_ignore_poison(&self.state).peak
-    }
-}
-
-/// Raw pointer wrapper for disjoint per-chunk result writes from pool
-/// jobs (same pattern as `WorkerPool::map`).
-struct SlotPtr<T>(*mut Option<T>);
-unsafe impl<T> Send for SlotPtr<T> {}
-unsafe impl<T> Sync for SlotPtr<T> {}
-impl<T> SlotPtr<T> {
-    /// # Safety
-    ///
-    /// `i` in bounds; each index written by exactly one job.
-    unsafe fn put(&self, i: usize, v: T) {
-        *self.0.add(i) = Some(v);
-    }
+    Ok(())
 }
 
 impl Sperr {
     /// Resolved in-flight chunk budget: the configured value (0 = auto,
     /// 2 × worker threads), clamped up to one chunk layer — a row-major
     /// stream cannot complete any chunk without buffering its whole
-    /// z-layer.
-    fn resolve_budget(&self, threads: usize, layer_len: usize) -> usize {
-        let configured = if self.config().in_flight_chunks == 0 {
-            2 * threads
-        } else {
-            self.config().in_flight_chunks
+    /// z-layer. Records it on the budget gauge.
+    fn resolve_budget(&self, grid: &[ChunkSpec], layer_len: usize) -> usize {
+        let configured = match self.config().in_flight_chunks {
+            0 => 2 * self.effective_threads(grid),
+            n => n,
         };
-        configured.max(layer_len).max(1)
+        let budget = configured.max(layer_len).max(1);
+        sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
+        budget
     }
 
     /// Streaming compression: reads `dims[0]·dims[1]·dims[2]` raw
@@ -512,9 +406,9 @@ impl Sperr {
         precision: Precision,
         bound: Bound,
     ) -> Result<StreamReport, SperrError> {
-        // Outer guard: a panic anywhere on the caller thread (e.g. in
-        // container assembly, after the pool has drained) still surfaces
-        // as a typed error — nothing unwinds out of the public API.
+        // Outer guard: a panic anywhere on the caller thread (ingest,
+        // container assembly) still surfaces as a typed error — nothing
+        // unwinds out of the public API.
         guarded(None, || {
             self.compress_stream_inner::<f64, R, W>(reader, writer, dims, precision, false, bound)
         })
@@ -558,7 +452,7 @@ impl Sperr {
         bound: Bound,
     ) -> Result<StreamReport, SperrError> {
         let ingest_err = |source| SperrError::Codec { stage: STAGE_INGEST, chunk: None, source };
-        if dims.iter().any(|&d| d == 0) {
+        if dims.contains(&0) {
             return Err(ingest_err(CompressError::Invalid("empty field".into())));
         }
         if let Bound::Psnr(_) = bound {
@@ -576,191 +470,27 @@ impl Sperr {
         let chunk_dims = self.config().chunk_dims;
         let grid = chunk_grid(dims, chunk_dims);
         let geo = LayerGeometry::new(dims, chunk_dims);
-        let n_chunks = grid.len();
-        let threads = self.effective_threads(&grid);
-        let budget = self.resolve_budget(threads, geo.layer_len());
-        sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
+        let budget = self.resolve_budget(&grid, geo.layer_len);
 
         let mut rd = ScalarReader::<R, T>::new(reader, precision, dims[0]);
-        let mut results: Vec<Option<ChunkEncoding>> = (0..n_chunks).map(|_| None).collect();
-        let peak_in_flight;
-        if threads == 1 {
-            // Serial driver: ingest a layer, encode its chunks inline,
-            // reuse the buffers. In flight = one layer by construction.
-            struct SerialSink<'a, T: Float> {
-                free: Vec<Vec<T>>,
-                in_flight: usize,
-                peak: usize,
-                grid: &'a [ChunkSpec],
-                results: &'a mut [Option<ChunkEncoding>],
-                sperr: &'a Sperr,
-                target: ChunkTarget,
-                pool: &'a WorkerPool,
-                arena: ScratchArena<T>,
-            }
-            impl<T: Float> ChunkSink<T> for SerialSink<'_, T> {
-                fn acquire(&mut self, _idx: usize) -> Result<Vec<T>, SperrError> {
-                    self.in_flight += 1;
-                    self.peak = self.peak.max(self.in_flight);
-                    sperr_telemetry::record_units(
-                        metric_labels::STREAM_IN_FLIGHT,
-                        self.in_flight as u64,
-                    );
-                    Ok(self.free.pop().unwrap_or_default())
-                }
-                fn complete(&mut self, idx: usize, buf: Vec<T>) -> Result<(), SperrError> {
-                    let (spec, pool) = (&self.grid[idx], self.pool);
-                    let r = guarded(Some(idx), || {
-                        self.sperr.encode_chunk(&buf, spec, self.target, pool, &mut self.arena)
-                    });
-                    self.in_flight -= 1;
-                    sperr_telemetry::record_units(
-                        metric_labels::STREAM_IN_FLIGHT,
-                        self.in_flight as u64,
-                    );
-                    self.free.push(buf);
-                    self.results[idx] = Some(r?);
-                    Ok(())
-                }
-            }
-            let pool = WorkerPool::inline();
-            let mut sink = SerialSink {
-                free: Vec::new(),
-                in_flight: 0,
-                peak: 0,
-                grid: &grid,
-                results: &mut results,
-                sperr: self,
-                target,
-                pool: &pool,
-                arena: ScratchArena::new(),
-            };
-            ingest_volume(&mut rd, &geo, &grid, &mut sink)?;
-            sink.arena.record_footprint();
-            peak_in_flight = sink.peak;
-        } else {
-            let shared = PipeShared::new(budget);
-            let results_ptr = SlotPtr(results.as_mut_ptr());
-            let grid_ref = &grid;
-            let shared_ref = &shared;
-            let run = WorkerPool::scoped(threads, |pool| {
-                let arenas = PerWorker::new(pool.threads(), ScratchArena::new);
-                let worker = |i: usize, w: usize| {
-                    // Wait for chunk i (or cancellation).
-                    let buf = {
-                        let mut st = lock_ignore_poison(&shared_ref.state);
-                        loop {
-                            if st.error.is_some() {
-                                return;
-                            }
-                            if let Some(ReadyChunk::Raw(b)) = st.ready.remove(&i) {
-                                break b;
-                            }
-                            st = shared_ref
-                                .worker_cv
-                                .wait(st)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        }
-                    };
-                    // SAFETY: one thread per worker slot (pool contract).
-                    let arena = unsafe { arenas.get(w) };
-                    let spec = &grid_ref[i];
-                    match guarded(Some(i), || self.encode_chunk(&buf, spec, target, pool, arena)) {
-                        // SAFETY: each job writes exactly its own slot.
-                        Ok(enc) => unsafe { results_ptr.put(i, enc) },
-                        Err(e) => shared_ref.cancel(e),
-                    }
-                    // Return the buffer and unblock the producer.
-                    let mut st = lock_ignore_poison(&shared_ref.state);
-                    st.free.push(buf);
-                    st.in_flight -= 1;
-                    sperr_telemetry::record_units(
-                        metric_labels::STREAM_IN_FLIGHT,
-                        st.in_flight as u64,
-                    );
-                    drop(st);
-                    shared_ref.caller_cv.notify_all();
-                };
-                let producer = || {
-                    struct ParallelSink<'a, T> {
-                        shared: &'a PipeShared<T>,
-                    }
-                    impl<T: Float> ChunkSink<T> for ParallelSink<'_, T> {
-                        fn acquire(&mut self, _idx: usize) -> Result<Vec<T>, SperrError> {
-                            let mut st = lock_ignore_poison(&self.shared.state);
-                            loop {
-                                if let Some(e) = &st.error {
-                                    return Err(e.clone());
-                                }
-                                if st.in_flight < self.shared.budget {
-                                    st.in_flight += 1;
-                                    st.peak = st.peak.max(st.in_flight);
-                                    sperr_telemetry::record_units(
-                                        metric_labels::STREAM_IN_FLIGHT,
-                                        st.in_flight as u64,
-                                    );
-                                    return Ok(st.free.pop().unwrap_or_default());
-                                }
-                                st = self
-                                    .shared
-                                    .caller_cv
-                                    .wait(st)
-                                    .unwrap_or_else(std::sync::PoisonError::into_inner);
-                            }
-                        }
-                        fn complete(&mut self, idx: usize, buf: Vec<T>) -> Result<(), SperrError> {
-                            let mut st = lock_ignore_poison(&self.shared.state);
-                            if let Some(e) = &st.error {
-                                return Err(e.clone());
-                            }
-                            st.ready.insert(idx, ReadyChunk::Raw(buf));
-                            drop(st);
-                            self.shared.worker_cv.notify_all();
-                            Ok(())
-                        }
-                    }
-                    let mut sink = ParallelSink { shared: shared_ref };
-                    let body = guarded(None, || ingest_volume(&mut rd, &geo, grid_ref, &mut sink))
-                        .and_then(|r| r);
-                    if let Err(e) = body {
-                        shared_ref.cancel(e);
-                    }
-                };
-                let run = pool.run_with_producer(n_chunks, producer, &worker);
-                for w in 0..pool.threads() {
-                    // SAFETY: all jobs have completed; no concurrent users.
-                    unsafe { arenas.get(w) }.record_footprint();
-                }
-                run
+        let mut encoded = Vec::with_capacity(grid.len());
+        let mut peak_in_flight = 0;
+        for w in geo.windows(budget) {
+            let specs = &grid[w.clone()];
+            let mut bufs: Vec<Vec<T>> = specs.iter().map(|s| Vec::with_capacity(s.len())).collect();
+            ingest_window(&mut rd, &geo, &w, specs, &mut bufs)?;
+            peak_in_flight = peak_in_flight.max(specs.len());
+            sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT, specs.len() as u64);
+            let results = self.map_chunks(specs, |j, pool, arena, _| {
+                guarded(Some(w.start + j), || {
+                    self.encode_chunk(&bufs[j], &specs[j], target, pool, arena)
+                })
             });
-            if let Some(e) = shared.take_error() {
-                return Err(e);
+            for enc in results {
+                encoded.push(enc?);
             }
-            if let Err(jp) = run {
-                return Err(SperrError::Panic {
-                    stage: STAGE_PIPELINE,
-                    chunk: None,
-                    message: jp.message,
-                });
-            }
-            peak_in_flight = shared.peak_in_flight();
         }
 
-        // All chunks encoded (any failure returned above); assemble and
-        // emit the container exactly like the non-streaming path.
-        let mut encoded = Vec::with_capacity(n_chunks);
-        for (i, slot) in results.into_iter().enumerate() {
-            match slot {
-                Some(enc) => encoded.push(enc),
-                None => {
-                    return Err(SperrError::Panic {
-                        stage: STAGE_PIPELINE,
-                        chunk: Some(i),
-                        message: "chunk result missing after pipeline drain".into(),
-                    })
-                }
-            }
-        }
         faultpoint::stage(STAGE_CONTAINER);
         let (out, stats) = self.finish_encode(target, dims, precision, native_f32, &encoded);
 
@@ -771,7 +501,7 @@ impl Sperr {
         Ok(StreamReport {
             bytes_in: rd.bytes_in,
             bytes_out: wr.bytes_out,
-            n_chunks,
+            n_chunks: grid.len(),
             in_flight_budget: budget,
             peak_in_flight,
             stats,
@@ -844,285 +574,104 @@ impl Sperr {
         let container_err =
             |source| SperrError::Codec { stage: STAGE_CONTAINER, chunk: None, source };
         let ps = ParsedStream::parse(&stream).map_err(container_err)?;
+        // Strict runs verify every checksum before any decode, timed like
+        // the in-memory strict read.
+        let mut times = StageTimes::default();
         if !resilient {
-            ps.check_crcs(0..ps.entries.len()).map_err(container_err)?;
+            let (checked, crc_time) =
+                timed(stage_labels::CONTAINER_READ, || ps.check_crcs(0..ps.entries.len()));
+            checked.map_err(container_err)?;
+            times.container = crc_time;
         }
-        let wr = ScalarWriter::new(writer, out_precision.unwrap_or(ps.header.precision));
+        let geo = LayerGeometry::new(ps.header.dims, ps.header.chunk_dims);
+        let budget = self.resolve_budget(&ps.grid, geo.layer_len);
+        let mut wr = ScalarWriter::new(writer, out_precision.unwrap_or(ps.header.precision));
         // Chunks decode at the payload's native width; emission widens
         // each row exactly (and narrows back losslessly for f32 output).
-        if ps.header.native_f32 {
-            self.decode_stream_chunks::<f32, W>(&ps, stream.len(), wr, resilient)
+        let (statuses, peak_in_flight) = if ps.header.native_f32 {
+            self.decode_windows::<f32, W>(&ps, &geo, budget, &mut wr, resilient, &mut times)?
         } else {
-            self.decode_stream_chunks::<f64, W>(&ps, stream.len(), wr, resilient)
-        }
-    }
-
-    /// The ordered-token decode scheduler behind both streaming decoders,
-    /// at the payload width `T`; `stream_len` is the compressed input size.
-    fn decode_stream_chunks<T: Float, W: Write>(
-        &self,
-        ps: &ParsedStream,
-        stream_len: usize,
-        mut wr: ScalarWriter<W>,
-        resilient: bool,
-    ) -> Result<StreamResilientReport, SperrError> {
-        let header = &ps.header;
-        let grid = &ps.grid;
-        let geo = LayerGeometry::new(header.dims, header.chunk_dims);
-        let n_chunks = grid.len();
-        let threads = self.effective_threads(grid);
-        let budget = self.resolve_budget(threads, geo.layer_len());
-        sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT_BUDGET, budget as u64);
-
-        // Decodes chunk i, honoring resilient semantics: Ok(status) with
-        // a data buffer (zero-filled on per-chunk failure), Err on a
-        // strict-mode failure (whose checksums were verified up front).
-        let decode_chunk = |i: usize,
-                            pool: &WorkerPool,
-                            arena: &mut ScratchArena<T>|
-         -> Result<(Vec<T>, ChunkStatus, StageTimes), SperrError> {
-            let full = Fidelity::Full;
-            match guarded(Some(i), || ps.decode_chunk(i, full, None, resilient, pool, arena))? {
-                Ok((data, times)) => Ok((data, ChunkStatus::Ok, times)),
-                Err(status) => {
-                    if !resilient {
-                        status.clone().into_result(i).map_err(|source| SperrError::Codec {
-                            stage: faultpoint::last_stage(),
-                            chunk: Some(i),
-                            source,
-                        })?;
-                    }
-                    Ok((vec![T::ZERO; grid[i].len()], status, StageTimes::default()))
-                }
-            }
+            self.decode_windows::<f64, W>(&ps, &geo, budget, &mut wr, resilient, &mut times)?
         };
-
-        let mut statuses: Vec<ChunkStatus> = Vec::with_capacity(n_chunks);
-        let mut stats = CompressionStats {
-            num_points: header.dims.iter().product(),
-            num_chunks: n_chunks,
-            container_bytes: ps.container_len(),
-            output_bytes: stream_len,
-            ..CompressionStats::default()
-        };
-        let mut row = vec![0.0f64; header.dims[0]];
-
-        let peak_in_flight;
-        // `n_chunks == 1` must use the serial driver too: the pool's
-        // single-job fast path runs the producer to completion before the
-        // job, and this direction's producer (the emitter) blocks waiting
-        // for the decoded chunk — producer-first would deadlock.
-        if threads == 1 || n_chunks == 1 {
-            // Chunks decode inline on the caller, but inside a scoped
-            // pool so a lone chunk still fans its wavelet/SPECK passes
-            // out across workers (decode_chunk nests `pool.run`).
-            peak_in_flight = WorkerPool::scoped(threads, |pool| {
-                let mut arena = ScratchArena::<T>::new();
-                let mut peak = 0usize;
-                for l in 0..geo.nz {
-                    let base = l * geo.layer_len();
-                    let mut layer: Vec<Vec<T>> = Vec::with_capacity(geo.layer_len());
-                    for p in 0..geo.layer_len() {
-                        let (data, status, times) = decode_chunk(base + p, pool, &mut arena)?;
-                        stats.stage_times.accumulate(&times);
-                        statuses.push(status);
-                        layer.push(data);
-                    }
-                    peak = peak.max(layer.len());
-                    sperr_telemetry::record_units(
-                        metric_labels::STREAM_IN_FLIGHT,
-                        layer.len() as u64,
-                    );
-                    emit_layer(&mut wr, &geo, grid, base, &layer, &mut row)?;
-                }
-                arena.record_footprint();
-                Ok::<usize, SperrError>(peak)
-            })?;
-        } else {
-            let shared = PipeShared::new(budget);
-            let shared_ref = &shared;
-            let statuses_ref = &mut statuses;
-            let stats_ref = &mut stats;
-            let wr_ref = &mut wr;
-            let row_ref = &mut row;
-            let geo_ref = &geo;
-            let grid_ref = grid;
-            let decode_ref = &decode_chunk;
-            let run = WorkerPool::scoped(threads, |pool| {
-                let arenas = PerWorker::new(pool.threads(), ScratchArena::<T>::new);
-                let worker = |i: usize, w: usize| {
-                    // Ordered token grant (see module docs).
-                    {
-                        let mut st = lock_ignore_poison(&shared_ref.state);
-                        loop {
-                            if st.error.is_some() {
-                                return;
-                            }
-                            if st.next_token == i && st.in_flight < shared_ref.budget {
-                                st.in_flight += 1;
-                                st.next_token += 1;
-                                st.peak = st.peak.max(st.in_flight);
-                                sperr_telemetry::record_units(
-                                    metric_labels::STREAM_IN_FLIGHT,
-                                    st.in_flight as u64,
-                                );
-                                break;
-                            }
-                            st = shared_ref
-                                .worker_cv
-                                .wait(st)
-                                .unwrap_or_else(std::sync::PoisonError::into_inner);
-                        }
-                        drop(st);
-                        // The grant advanced next_token: other waiters
-                        // (including the next index) must re-check.
-                        shared_ref.worker_cv.notify_all();
-                    }
-                    // SAFETY: one thread per worker slot (pool contract).
-                    let arena = unsafe { arenas.get(w) };
-                    match decode_ref(i, pool, arena) {
-                        Ok((data, status, times)) => {
-                            let mut st = lock_ignore_poison(&shared_ref.state);
-                            st.ready.insert(i, ReadyChunk::Decoded { data, status, times });
-                            drop(st);
-                            shared_ref.caller_cv.notify_all();
-                        }
-                        Err(e) => {
-                            // Token stays accounted; cancellation stops
-                            // the run, so the budget is moot.
-                            shared_ref.cancel(e);
-                        }
-                    }
-                };
-                let emitter = || {
-                    let body = guarded(None, || -> Result<(), SperrError> {
-                        for l in 0..geo_ref.nz {
-                            let base = l * geo_ref.layer_len();
-                            let mut layer: Vec<Vec<T>> =
-                                Vec::with_capacity(geo_ref.layer_len());
-                            for p in 0..geo_ref.layer_len() {
-                                let idx = base + p;
-                                let chunk = {
-                                    let mut st = lock_ignore_poison(&shared_ref.state);
-                                    loop {
-                                        if let Some(e) = &st.error {
-                                            return Err(e.clone());
-                                        }
-                                        if let Some(c) = st.ready.remove(&idx) {
-                                            break c;
-                                        }
-                                        st = shared_ref
-                                            .caller_cv
-                                            .wait(st)
-                                            .unwrap_or_else(
-                                                std::sync::PoisonError::into_inner,
-                                            );
-                                    }
-                                };
-                                let ReadyChunk::Decoded { data, status, times } = chunk
-                                else {
-                                    // Only decoded chunks enter the
-                                    // mailbox on this path.
-                                    continue;
-                                };
-                                stats_ref.stage_times.accumulate(&times);
-                                statuses_ref.push(status);
-                                layer.push(data);
-                            }
-                            emit_layer(wr_ref, geo_ref, grid_ref, base, &layer, row_ref)?;
-                            // Layer written: release its decode
-                            // tokens and wake token waiters.
-                            let mut st = lock_ignore_poison(&shared_ref.state);
-                            st.in_flight -= layer.len();
-                            sperr_telemetry::record_units(
-                                metric_labels::STREAM_IN_FLIGHT,
-                                st.in_flight as u64,
-                            );
-                            drop(st);
-                            shared_ref.worker_cv.notify_all();
-                        }
-                        Ok(())
-                    });
-                    if let Err(e) = body.and_then(|r| r) {
-                        shared_ref.cancel(e);
-                    }
-                };
-                let run = pool.run_with_producer(n_chunks, emitter, &worker);
-                for w in 0..pool.threads() {
-                    // SAFETY: all jobs have completed; no concurrent users.
-                    unsafe { arenas.get(w) }.record_footprint();
-                }
-                run
-            });
-            if let Some(e) = shared.take_error() {
-                return Err(e);
-            }
-            if let Err(jp) = run {
-                return Err(SperrError::Panic {
-                    stage: STAGE_PIPELINE,
-                    chunk: None,
-                    message: jp.message,
-                });
-            }
-            peak_in_flight = shared.peak_in_flight();
-        }
-
         wr.flush()?;
         Ok(StreamResilientReport {
             report: StreamReport {
-                bytes_in: stream_len as u64,
+                bytes_in: stream.len() as u64,
                 bytes_out: wr.bytes_out,
-                n_chunks,
+                n_chunks: ps.grid.len(),
                 in_flight_budget: budget,
                 peak_in_flight,
-                stats,
+                stats: decode_stats(&ps, stream.len(), &times),
             },
             statuses,
         })
     }
+
+    /// The streaming decode loop at payload width `T`: decodes each window
+    /// on the pool, then writes its rows. A chunk that fails is zero-filled
+    /// and reported when `resilient`, and fails the run otherwise. Returns
+    /// the per-chunk statuses and the largest window; chunk stage times
+    /// accumulate into `times`.
+    fn decode_windows<T: Float, W: Write>(
+        &self,
+        ps: &ParsedStream,
+        geo: &LayerGeometry,
+        budget: usize,
+        wr: &mut ScalarWriter<W>,
+        resilient: bool,
+        times: &mut StageTimes,
+    ) -> Result<(Vec<ChunkStatus>, usize), SperrError> {
+        let mut statuses = Vec::with_capacity(ps.grid.len());
+        let mut row = vec![0.0f64; geo.dims[0]];
+        let mut peak = 0;
+        for w in geo.windows(budget) {
+            let specs = &ps.grid[w.clone()];
+            peak = peak.max(specs.len());
+            sperr_telemetry::record_units(metric_labels::STREAM_IN_FLIGHT, specs.len() as u64);
+            let decoded = self.map_chunks::<T, _>(specs, |j, pool, arena, _| {
+                let i = w.start + j;
+                let full = Fidelity::Full;
+                match guarded(Some(i), || ps.decode_chunk(i, full, None, resilient, pool, arena))? {
+                    Ok(ok) => Ok((ok, ChunkStatus::Ok)),
+                    Err(status) => {
+                        // Strict runs verified checksums up front, so this
+                        // is a decode failure; its stage is this thread's.
+                        if !resilient {
+                            status.clone().into_result(i).map_err(|source| SperrError::Codec {
+                                stage: faultpoint::last_stage(),
+                                chunk: Some(i),
+                                source,
+                            })?;
+                        }
+                        Ok(((vec![T::ZERO; specs[j].len()], StageTimes::default()), status))
+                    }
+                }
+            });
+            let mut chunks = Vec::with_capacity(specs.len());
+            for result in decoded {
+                let ((data, chunk_times), status) = result?;
+                times.accumulate(&chunk_times);
+                statuses.push(status);
+                chunks.push(data);
+            }
+            emit_window(wr, geo, &w, specs, &chunks, &mut row)?;
+        }
+        Ok((statuses, peak))
+    }
 }
 
 /// Runs `f`, turning a panic into a typed [`SperrError::Panic`] carrying
-/// `chunk` and the last stage the thread entered.
+/// `chunk` and the last stage the thread entered ([`STAGE_PIPELINE`] if
+/// it entered none).
 fn guarded<R>(chunk: Option<usize>, f: impl FnOnce() -> R) -> Result<R, SperrError> {
     catch_unwind(AssertUnwindSafe(f)).map_err(|p| SperrError::Panic {
-        stage: faultpoint::last_stage(),
+        stage: match faultpoint::last_stage() {
+            "" => STAGE_PIPELINE,
+            stage => stage,
+        },
         chunk,
         message: panic_payload_message(p.as_ref()),
     })
-}
-
-/// Writes one chunk layer's z-planes to the writer, interleaving the
-/// per-chunk buffers back into x-fastest volume rows.
-fn emit_layer<T: Float, W: Write>(
-    wr: &mut ScalarWriter<W>,
-    geo: &LayerGeometry,
-    grid: &[ChunkSpec],
-    base: usize,
-    layer: &[Vec<T>],
-    row: &mut [f64],
-) -> Result<(), SperrError> {
-    let l = base / geo.layer_len();
-    let (z0, z1) = geo.z_range(l);
-    for z in z0..z1 {
-        faultpoint::stage(STAGE_EMIT);
-        for y in 0..geo.dims[1] {
-            let cy = y / geo.chunk_dims[1];
-            for cx in 0..geo.nx {
-                let p = cy * geo.nx + cx;
-                let spec = &grid[base + p];
-                let lz = z - spec.offset[2];
-                let ly = y - spec.offset[1];
-                let cdx = spec.dims[0];
-                let src = &layer[p][cdx * (ly + spec.dims[1] * lz)..][..cdx];
-                for (d, &v) in row[spec.offset[0]..spec.offset[0] + cdx].iter_mut().zip(src) {
-                    *d = v.to_f64();
-                }
-            }
-            wr.write_row(row)?;
-        }
-    }
-    Ok(())
 }
 
 #[cfg(test)]
@@ -1267,9 +816,27 @@ mod tests {
     }
 
     #[test]
+    fn stream_decompress_stats_match_in_memory() {
+        // A lossless-framed stream: the streaming decode reports its parse
+        // stages like `decompress_with_stats`, with the same geometry.
+        let field = wavy([40, 28, 20]);
+        let sperr = Sperr::new(cfg(2));
+        assert!(sperr.config().lossless);
+        let stream = sperr.compress(&field, Bound::Pwe(1e-3)).unwrap();
+        let (_, want) = sperr.decompress_with_stats(&stream).unwrap();
+        let got = sperr.decompress_stream(&stream[..], Vec::new(), None).unwrap().stats;
+        assert!(got.stage_times.lossless > std::time::Duration::ZERO);
+        assert!(got.stage_times.container > std::time::Duration::ZERO);
+        assert_eq!(
+            (got.num_points, got.num_chunks, got.container_bytes, got.output_bytes),
+            (want.num_points, want.num_chunks, want.container_bytes, want.output_bytes)
+        );
+    }
+
+    #[test]
     fn bounded_in_flight_budget_is_honored() {
-        // 8 z-layers of 1 chunk each with a budget of 2: the producer
-        // must block rather than buffer ahead.
+        // 8 z-layers of 1 chunk each with a budget of 2: windows hold two
+        // layers rather than buffering ahead.
         let dims = [16usize, 16, 128];
         let field = wavy(dims);
         let raw = raw_bytes(&field, Precision::Double);

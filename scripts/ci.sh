@@ -95,6 +95,12 @@ else
     echo "no parent commit available; skipping"
 fi
 
+echo "==> repository benchmark self-test"
+# The benchmark package sits outside the workspace, so the workspace
+# test run never builds it; a sperr-core API change could break it
+# unnoticed. Tiny inputs, every workload, both modes (~10 s).
+cargo test --release --offline --manifest-path benchmark/Cargo.toml
+
 echo "==> bench smoke (release)"
 # Tiny-dims run so the harness itself cannot rot; writes
 # target/bench_smoke.json and self-validates it. Invoked via its own
@@ -174,8 +180,9 @@ echo "==> telemetry on: identity, overhead and trace-coverage tests"
 cargo test --quiet --features telemetry --test telemetry
 
 echo "==> telemetry on: streaming worker timelines overlap"
-# The staged streaming pipeline must actually fan out: at least two pool
-# workers with concurrent spans during a streaming compression.
+# Streaming must actually fan out: at least two pool workers with
+# concurrent spans during a streaming compression, and at 2 threads both
+# pool slots coding chunks in each direction.
 cargo test --quiet --features telemetry --test streaming
 
 echo "==> telemetry on: --stats/--trace smoke on a 128^3 PWE run"
@@ -221,10 +228,10 @@ cargo build --workspace --release --features telemetry,sperr-simd/force-scalar
 target/release/sperr-conformance check
 
 echo "==> ThreadSanitizer: pool + streaming pipeline tests"
-# The streaming pipeline is the one place the codebase hand-rolls
-# cross-thread synchronization (condvar back-pressure, ordered decode
-# tokens, cancellation broadcast), so run its tests and the worker-pool
-# tests under TSan. Needs nightly with the rust-src component
+# The worker pool is the one place the codebase hand-rolls cross-thread
+# synchronization (a batch slot under a mutex and two condvars, atomic
+# job claiming, caught job panics), and the streaming tests drive it
+# hardest (a fresh pool per window), so run both under TSan. Needs nightly with the rust-src component
 # (-Zbuild-std rebuilds std with the sanitizer); CI must never install
 # toolchain pieces, so skip gracefully — loudly — when absent.
 if command -v rustup >/dev/null 2>&1 \

@@ -6,7 +6,9 @@
 //! across pool workers.
 
 use sperr_compress_api::{Bound, Field, LossyCompressor, Precision};
-use sperr_core::{Sperr, SperrConfig, SperrError, STAGE_CONTAINER};
+use std::collections::BTreeSet;
+
+use sperr_core::{stage_labels, Sperr, SperrConfig, SperrError, STAGE_CONTAINER};
 use sperr_datagen::SyntheticField;
 
 fn sperr(threads: usize) -> Sperr {
@@ -168,4 +170,32 @@ fn streaming_worker_timelines_overlap() {
         })
     });
     assert!(overlapping, "no concurrent spans across worker timelines: stages never overlapped");
+
+    // Every pool slot codes chunks, the caller's slot 0 included: at 2
+    // threads with 16 chunks per window, both worker tracks carry SPECK
+    // spans in each direction.
+    let dims = [64usize, 64, 32];
+    let field = SyntheticField::MirandaPressure.generate(dims, 12);
+    let t = field.range() * 1e-4;
+    let s = sperr(2);
+    let slots_with = |report: &sperr_telemetry::Report, label: &str| -> BTreeSet<usize> {
+        report
+            .tracks
+            .iter()
+            .filter(|tr| tr.spans.iter().any(|sp| sp.label == label))
+            .filter_map(|tr| tr.worker)
+            .collect()
+    };
+
+    sperr_telemetry::start();
+    let mut stream = Vec::new();
+    s.compress_stream(&raw_f64(&field)[..], &mut stream, dims, Precision::Double, Bound::Pwe(t))
+        .unwrap();
+    let encode = sperr_telemetry::stop();
+    assert_eq!(slots_with(&encode, stage_labels::SPECK_ENCODE), BTreeSet::from([0, 1]));
+
+    sperr_telemetry::start();
+    s.decompress_stream(&stream[..], Vec::new(), None).unwrap();
+    let decode = sperr_telemetry::stop();
+    assert_eq!(slots_with(&decode, stage_labels::SPECK_DECODE), BTreeSet::from([0, 1]));
 }
